@@ -222,7 +222,7 @@ class Pipeline:
             ]
 
             def fn(condition=condition, manifest=manifest):
-                base = ex.load_expert_checkpoint(base_path)
+                base, _ = ex.load_expert_checkpoint(base_path)
                 model, _ = ex.train_ase(
                     base,
                     condition,
@@ -241,16 +241,24 @@ class Pipeline:
 
             self.run_stage(stage, watched, fn)
 
-    def _load_bank(self) -> list:
-        base = ex.load_expert_checkpoint(self.load_expert("e0"))
-        bank = [base]
+    def _load_bank(self) -> tuple:
+        """Parse and verify each expert checkpoint once. Returns the bank
+        [E0, E1..En] in roster order and, parallel to it, each checkpoint's
+        (path relative to the root, content checksum)."""
+        paths = [self.load_expert("e0")]
         for expert_id in self.cfg.expert_ids:
-            condition = self.cfg.roster[expert_id]
-            path = self.ckpt_path(f"ase_{condition}")
+            path = self.ckpt_path(f"ase_{self.cfg.roster[expert_id]}")
             if not path.exists():
                 raise MissingArtifactError(f"{path} not found; run `amulet train-ase` first")
-            bank.append(ex.load_adapter_checkpoint(path, base))
-        return bank
+            paths.append(path)
+        base, checksum = ex.load_expert_checkpoint(paths[0])
+        bank, checksums = [base], [checksum]
+        for path in paths[1:]:
+            model, checksum = ex.load_adapter_checkpoint(path, base)
+            bank.append(model)
+            checksums.append(checksum)
+        refs = [(str(p.relative_to(self.root)), c) for p, c in zip(paths, checksums)]
+        return bank, refs
 
     def _fusion_data(self):
         manifests = [self.load_manifest("T0")]
@@ -283,7 +291,7 @@ class Pipeline:
             watched = expert_paths + manifest_paths + [out_path]
 
             def fn(k=k, out_path=out_path, stage=stage):
-                bank = self._load_bank()
+                bank, refs = self._load_bank()
                 subset, dev_entries = self._fusion_data()
                 system = fusion.FusionSystem(
                     bank, k, renormalize=self.cfg.renormalize,
@@ -295,12 +303,6 @@ class Pipeline:
                     corpus.stable_seed(self.cfg.seeds["fusion"], "train", k),
                     log=lambda msg: self.log(stage, msg),
                 )
-                refs = []
-                for path in [self.ckpt_path("e0")] + [
-                    self.ckpt_path(f"ase_{c}") for c in self.cfg.train_conditions
-                ]:
-                    payload = json.loads(path.read_text())
-                    refs.append((path.relative_to(self.root), payload["checksum"]))
                 fusion.save_fusion_checkpoint(system, out_path, refs)
 
             self.run_stage(stage, watched, fn)
@@ -308,17 +310,17 @@ class Pipeline:
     # --- evaluation ------------------------------------------------------------
 
     def _systems(self):
-        bank = self._load_bank()
-        systems = {"E0": bank[0]}
-        for expert_id, model in zip(self.cfg.expert_ids, bank[1:]):
-            systems[expert_id] = model
+        """The expert bank and the fused systems bound to it, with every
+        checkpoint parsed once."""
+        bank, refs = self._load_bank()
+        loaded = {path: (model, checksum) for (path, checksum), model in zip(refs, bank)}
         fused = {}
         for k in self.cfg.k_values:
             path = self.ckpt_path(f"fusion_top{k}")
             if not path.exists():
                 raise MissingArtifactError(f"{path} not found; run `amulet train-fusion` first")
-            fused[f"fused_top{k}"] = fusion.load_fusion_checkpoint(path, self.root)
-        return bank, systems, fused
+            fused[f"fused_top{k}"] = fusion.load_fusion_checkpoint(path, self.root, loaded)
+        return bank, fused
 
     def system_names(self) -> list:
         return (
@@ -337,7 +339,8 @@ class Pipeline:
         watched = score_paths + [ckpt_dir] + [self.manifest_path(c) for c in conditions]
 
         def fn():
-            bank, expert_systems, fused = self._systems()
+            bank, fused = self._systems()
+            expert_names = ["E0"] + self.cfg.expert_ids
             for condition in conditions:
                 manifest = self.load_manifest(condition)
                 entries = sorted(manifest.split("eval"), key=lambda e: e.clip_id)
@@ -347,11 +350,11 @@ class Pipeline:
                 for entry in entries:
                     clip = corpus.resolve_clip(entry, self.root)
                     feats = ex.frame_features(clip, bank[0].cfg)
-                    z_all = [ex.encoder_forward(model, feats) for model in bank]
+                    z_all = ex.bank_forward(bank, feats)
                     slot = 0 if entry.label == "bonafide" else 1
                     logit_rows = []
-                    for name, z in zip(["E0"] + self.cfg.expert_ids, z_all):
-                        logits = ex.head_logits(expert_systems[name], z)
+                    for name, model, z in zip(expert_names, bank, z_all):
+                        logits = ex.head_logits(model, z)
                         logit_rows.append(logits[0])
                         buckets[name][slot].append(float(logits[0, 0] - logits[0, 1]))
                     mean_logits = fusion.ensemble_logits(logit_rows)
@@ -370,8 +373,7 @@ class Pipeline:
 
     # --- reporting ---------------------------------------------------------------
 
-    def _trainable_params(self) -> dict:
-        bank, _, fused = self._systems()
+    def _trainable_params(self, bank, fused) -> dict:
         params = {"E0": ex.count_trainable(bank[0])["trainable"]}
         for expert_id, model in zip(self.cfg.expert_ids, bank[1:]):
             params[expert_id] = ex.count_trainable(model)["trainable"]
@@ -395,7 +397,8 @@ class Pipeline:
 
         def fn():
             reports_dir.mkdir(parents=True, exist_ok=True)
-            tp = self._trainable_params()
+            bank, fused = self._systems()
+            tp = self._trainable_params(bank, fused)
             for title, conditions, stem in (
                 ("single-attack EER (%)", self.cfg.single_conditions, "single_attack_eer"),
                 ("mixed-attack EER (%)", list(self.cfg.mixed), "mixed_attack_eer"),
@@ -414,13 +417,12 @@ class Pipeline:
                 (reports_dir / f"{stem}.txt").write_text(
                     metrics.render_report_text(report, title)
                 )
-            self._write_param_report(reports_dir)
+            self._write_param_report(reports_dir, bank)
             self._write_checksums()
 
         self.run_stage("report", watched, fn)
 
-    def _write_param_report(self, reports_dir: Path) -> None:
-        bank = self._load_bank()
+    def _write_param_report(self, reports_dir: Path, bank) -> None:
         shared = ex.count_trainable(bank[0])
         lines = ["system,trainable_params,total_params,percent"]
         rows = [("E0", shared)]

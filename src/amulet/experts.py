@@ -264,17 +264,60 @@ def _dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(shape) >= p) / (1.0 - p)
 
 
-def encoder_forward(model: ExpertModel, feats: np.ndarray) -> np.ndarray:
-    """Plain (inference) forward; adapters use the two-path form, no dropout."""
+def encoder_forward(model: ExpertModel, feats: np.ndarray, layer0=None) -> np.ndarray:
+    """Plain (inference) forward; adapters use the two-path form, no dropout.
+
+    `layer0` optionally holds this model's layer-0 products precomputed as
+    `bank_forward` shares them: (x@W0, x@A0), with None for x@A0 when the
+    model has no adapters.
+    """
     h = feats
     for i in range(model.n_layers):
-        pre = tc.matmul_values(h, model.tensors[f"enc.w{i}"]) + model.tensors[f"enc.b{i}"]
-        if model.has_adapters:
-            adapter = model.adapter(i)
-            delta = tc.matmul_values(tc.matmul_values(h, adapter.a), adapter.b)
-            pre = pre + delta * adapter.scale
+        adapter = model.adapter(i) if model.has_adapters else None
+        if i == 0 and layer0 is not None:
+            base, xa = layer0
+        else:
+            base = tc.matmul_values(h, model.tensors[f"enc.w{i}"])
+            xa = tc.matmul_values(h, adapter.a) if adapter is not None else None
+        pre = base + model.tensors[f"enc.b{i}"]
+        if adapter is not None:
+            pre = pre + tc.matmul_values(xa, adapter.b) * adapter.scale
         h = np.tanh(pre)
     return h
+
+
+def bank_forward(models, feats: np.ndarray) -> list:
+    """`encoder_forward` of every model in a bank on one clip's features.
+
+    Every model whose frozen `enc.w0` equals the first model's shares one
+    layer-0 product x @ [W0 | A0_1 | ... | A0_n]; its column blocks are
+    bitwise the separate products, because `matmul_values` sums each output
+    element over the inner index in increasing order whatever the width.
+    Biases, the `(x@A0)@B0` terms and the deeper layers stay per model, and
+    a model with a different `enc.w0` gets its own forward.
+    """
+    w0 = models[0].tensors["enc.w0"]
+    shares = [np.array_equal(m.tensors["enc.w0"], w0) for m in models]
+    blocks = [w0] + [
+        m.tensors["lora.a0"] for m, shared in zip(models, shares) if shared and m.has_adapters
+    ]
+    product = tc.matmul_values(feats, np.concatenate(blocks, axis=1))
+    base = product[:, : w0.shape[1]]
+    col = w0.shape[1]
+    out = []
+    for model, shared in zip(models, shares):
+        if not shared:
+            out.append(encoder_forward(model, feats))
+            continue
+        xa = None
+        if model.has_adapters:
+            rank = model.tensors["lora.a0"].shape[1]
+            # einsum orders its loops by operand strides; a contiguous operand
+            # keeps the order the bitwise matmul tests pin
+            xa = np.ascontiguousarray(product[:, col : col + rank])
+            col += rank
+        out.append(encoder_forward(model, feats, (base, xa)))
+    return out
 
 
 POOL_LOG_EPS = 1e-4
@@ -313,11 +356,6 @@ def head_logits(model: ExpertModel, z: np.ndarray) -> np.ndarray:
 
 def expert_logits(model: ExpertModel, feats: np.ndarray) -> np.ndarray:
     return head_logits(model, encoder_forward(model, feats))
-
-
-def score_clip(model: ExpertModel, clip: AudioClip) -> float:
-    logits = expert_logits(model, frame_features(clip, model.cfg))
-    return float(logits[0, 0] - logits[0, 1])
 
 
 def make_leaves(model: ExpertModel) -> dict:
@@ -604,11 +642,13 @@ def save_expert_checkpoint(model: ExpertModel, path) -> str:
     return _write_payload(payload, path)
 
 
-def load_expert_checkpoint(path) -> ExpertModel:
+def load_expert_checkpoint(path) -> tuple:
+    """(model, verified content checksum of the file)."""
     payload = _read_payload(path, "expert-checkpoint")
     cfg = EncoderConfig.from_dict(payload["encoder"])
-    return ExpertModel(cfg, _tensors_from_payload(payload["tensors"]),
-                       payload["frozen"], payload.get("lora"))
+    model = ExpertModel(cfg, _tensors_from_payload(payload["tensors"]),
+                        payload["frozen"], payload.get("lora"))
+    return model, payload["checksum"]
 
 
 def save_adapter_checkpoint(model: ExpertModel, path) -> str:
@@ -627,7 +667,8 @@ def save_adapter_checkpoint(model: ExpertModel, path) -> str:
     return _write_payload(payload, path)
 
 
-def load_adapter_checkpoint(path, base: ExpertModel) -> ExpertModel:
+def load_adapter_checkpoint(path, base: ExpertModel) -> tuple:
+    """(base with the adapter attached, verified content checksum of the file)."""
     payload = _read_payload(path, "adapter-checkpoint")
     if payload["base_checksum"] != encoder_checksum(base):
         raise CheckpointError(f"{path}: adapter is bound to a different base encoder")
@@ -640,4 +681,4 @@ def load_adapter_checkpoint(path, base: ExpertModel) -> ExpertModel:
         out.frozen.add(f"enc.w{i}")
         out.frozen.add(f"enc.b{i}")
         out.adapter(i)  # validate shapes
-    return out
+    return out, payload["checksum"]

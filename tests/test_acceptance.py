@@ -21,7 +21,7 @@ from amulet import tensor as tc
 from amulet.audio import AudioClip
 
 from oracles import (
-    eer_midpoint_sweep,
+    eer_segment_sweep,
     finite_difference_grads,
     matmul_triple_loop,
     random_graph,
@@ -163,7 +163,7 @@ class TestCriterion4EerOracle:
                 bona = np.round(bona, 1)
                 spoof = np.round(spoof, 1)
             ours = mx.compute_eer(mx.ScoreSet(bona.tolist(), spoof.tolist())).eer
-            worst = max(worst, abs(ours - eer_midpoint_sweep(bona, spoof)))
+            worst = max(worst, abs(ours - eer_segment_sweep(bona, spoof)))
         assert worst < 1e-9
 
         assert mx.compute_eer(mx.ScoreSet([2, 3, 4], [-1, 0, 1])).eer == 0.0
@@ -272,9 +272,9 @@ class TestCriterion6FrozenContract:
             rank=2, alpha=16.0, dropout_p=0.1, hyper=hyper, seed=63,
         )
         assert ex.encoder_checksum(ase) == base_checksum
-        assert ex.frozen_checksum(ase) == ex.frozen_checksum(
-            ex.lora_inject(base, 2, 16.0, 0.1, seed=999)
-        ) or True  # frozen set covers the same encoder tensors
+        injected = ex.lora_inject(base, 2, 16.0, 0.1, seed=999)
+        assert ase.frozen == injected.frozen  # the same encoder tensors stay frozen
+        assert ex.frozen_checksum(ase) == ex.frozen_checksum(injected)
 
         bank = [base, ase]
         system = fu.FusionSystem(bank, k=1, seed=64)

@@ -1,9 +1,13 @@
 import json
+import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from amulet import cli
+from amulet import experts as ex
+from amulet import fusion as fu
 from amulet.config import ConfigError, validate_config
 
 
@@ -116,6 +120,65 @@ class TestStages:
         flag_dir = tmp_path / "from-flag"
         assert cli.main(["--config", path, "--out", str(flag_dir), "synth"]) == 0
         assert (flag_dir / "manifests" / "T0.jsonl").exists()
+
+
+@pytest.fixture(scope="module")
+def trained_bank(tmp_path_factory):
+    """A root trained up to the fusion heads with the default roster (E0,
+    E1-E5, k = 3/4/5), at the smallest sizes, one epoch per trainer."""
+    work = tmp_path_factory.mktemp("bank")
+    hyper = {"max_epochs": 1}
+    config = micro_config(
+        work / "out", roster=validate_config("default").roster, k_values=[3, 4, 5],
+        synth={"n_train": 4, "n_dev": 1, "n_eval": 1, "clip_seconds": 1.0},
+        expert_train=hyper, fusion_train=hyper,
+    )
+    path = write_config(work, config)
+    for stage in ("attack", "train-shared", "train-ase", "train-fusion"):
+        assert cli.main(["--config", path, stage]) == 0, stage
+    return path, work / "out"
+
+
+def copy_root(trained_bank, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(trained_bank[1], out)
+    return out
+
+
+class TestBankLoading:
+    def test_each_checkpoint_parsed_once_per_stage(self, trained_bank, tmp_path, monkeypatch):
+        parsed = Counter()
+        original = ex._read_payload
+
+        def counting(path, expected_format):
+            parsed[Path(path).name] += 1
+            return original(path, expected_format)
+
+        monkeypatch.setattr(ex, "_read_payload", counting)
+        monkeypatch.setattr(fu, "_read_payload", counting)
+        once = {f"{name}.json": 1 for name in (
+            "e0", "ase_T1", "ase_T2", "ase_T3", "ase_T4", "ase_T5",
+            "fusion_top3", "fusion_top4", "fusion_top5",
+        )}
+        out = copy_root(trained_bank, tmp_path)
+        for stage in ("evaluate", "report"):
+            parsed.clear()
+            assert cli.main(["--config", trained_bank[0], "--out", str(out), stage]) == 0
+            assert dict(parsed) == once, stage
+
+    def test_rewritten_adapter_breaks_fusion_binding(self, trained_bank, tmp_path, capsys):
+        ckpts = copy_root(trained_bank, tmp_path) / "checkpoints"
+        base, _ = ex.load_expert_checkpoint(ckpts / "e0.json")
+        ase, _ = ex.load_adapter_checkpoint(ckpts / "ase_T1.json", base)
+        ase.tensors["lora.b0"] = ase.tensors["lora.b0"] + 0.5
+        ex.save_adapter_checkpoint(ase, ckpts / "ase_T1.json")
+        # the rewritten file loads on its own: only the fusion binding can tell
+        ex.load_adapter_checkpoint(ckpts / "ase_T1.json", base)
+        capsys.readouterr()
+        out = str(ckpts.parent)
+        assert cli.main(["--config", trained_bank[0], "--out", out, "evaluate"]) == 2
+        err = capsys.readouterr().err
+        assert "ase_T1.json" in err and "fusion binding" in err
 
 
 @pytest.mark.slow

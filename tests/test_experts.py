@@ -188,6 +188,60 @@ class TestForwardGradients:
         assert np.array_equal(out, np.zeros((4, 64)))
 
 
+def adapted_bank(base, ranks, seed):
+    """`base` plus one adapter expert per rank, each with a nonzero B."""
+    rng = np.random.default_rng(seed)
+    bank = [base]
+    for i, rank in enumerate(ranks):
+        ase = ex.lora_inject(base, rank, 16.0, 0.1, seed=seed + 1 + i)
+        for layer in range(ase.n_layers):
+            shape = ase.tensors[f"lora.b{layer}"].shape
+            ase.tensors[f"lora.b{layer}"] = rng.normal(0.0, 0.1, shape)
+        bank.append(ase)
+    return bank
+
+
+class TestBankForward:
+    @staticmethod
+    def forward_counting_layer0(bank, feats, monkeypatch):
+        """bank_forward's outputs and the number of products taken of `feats`."""
+        calls = []
+        original = tc.matmul_values
+
+        def counting(a, b):
+            if a is feats:
+                calls.append(b.shape)
+            return original(a, b)
+
+        monkeypatch.setattr(tc, "matmul_values", counting)
+        out = ex.bank_forward(bank, feats)
+        monkeypatch.setattr(tc, "matmul_values", original)
+        return out, calls
+
+    def test_bitwise_equal_to_per_expert_forward(self, monkeypatch):
+        # rank 1 takes the looped single-column path in a separate x@A product
+        bank = adapted_bank(ex.new_expert(ENC, 40), ranks=(4, 1, 2, 4, 4), seed=41)
+        feats = ex.frame_features(random_clip(42), ENC)
+        out, calls = self.forward_counting_layer0(bank, feats, monkeypatch)
+        assert calls == [(160, 64 + 4 + 1 + 2 + 4 + 4)]  # one layer-0 product for all six
+        assert len(out) == len(bank)
+        for model, z in zip(bank, out):
+            assert np.array_equal(z, ex.encoder_forward(model, feats))
+
+    def test_experts_with_their_own_layer0(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        bank = adapted_bank(ex.new_expert(ENC, 44), ranks=(4, 1, 2), seed=45)
+        other_base = ex.new_expert(ENC, 46)
+        other_base.tensors["enc.w0"] = other_base.tensors["enc.w0"] + rng.normal(0.0, 0.01, (160, 64))
+        bank += adapted_bank(other_base, ranks=(1,), seed=47)  # a base and an adapter on it
+        bank[2].tensors["enc.b0"] = rng.normal(0.0, 0.1, (1, 64))  # own bias, shared weight
+        feats = ex.frame_features(random_clip(48), ENC)
+        out, calls = self.forward_counting_layer0(bank, feats, monkeypatch)
+        assert calls == [(160, 64 + 4 + 1 + 2), (160, 64), (160, 64), (160, 1)]
+        for model, z in zip(bank, out):
+            assert np.array_equal(z, ex.encoder_forward(model, feats))
+
+
 class TestTraining:
     def test_loss_decreases_and_reload_reproduces_dev_eer(self, tiny_corpus, tmp_path):
         manifest, root = tiny_corpus
@@ -201,8 +255,9 @@ class TestTraining:
         labels = [e.label for e in manifest.split("dev")]
         before = ex.dev_eer(model, feats, labels)
         path = tmp_path / "e0.json"
-        ex.save_expert_checkpoint(model, path)
-        reloaded = ex.load_expert_checkpoint(path)
+        saved_checksum = ex.save_expert_checkpoint(model, path)
+        reloaded, checksum = ex.load_expert_checkpoint(path)
+        assert checksum == saved_checksum
         assert ex.dev_eer(reloaded, feats, labels) == before
         for name in model.tensors:
             assert np.array_equal(model.tensors[name], reloaded.tensors[name])
@@ -276,11 +331,12 @@ class TestCheckpoints:
         full_path = tmp_path / "full.json"
         adapter_path = tmp_path / "adapter.json"
         ex.save_expert_checkpoint(injected, full_path)
-        ex.save_adapter_checkpoint(injected, adapter_path)
+        saved_checksum = ex.save_adapter_checkpoint(injected, adapter_path)
         ratio = adapter_path.stat().st_size / full_path.stat().st_size
         assert ratio < 0.15
 
-        restored = ex.load_adapter_checkpoint(adapter_path, base)
+        restored, checksum = ex.load_adapter_checkpoint(adapter_path, base)
+        assert checksum == saved_checksum
         feats = ex.frame_features(random_clip(3), ENC)
         assert np.array_equal(
             ex.expert_logits(restored, feats), ex.expert_logits(injected, feats)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -318,7 +320,7 @@ class TestTrainFusion:
 
 
 class TestFusionCheckpoint:
-    def test_round_trip_with_bindings(self, tmp_path):
+    def test_round_trip_with_bindings(self, tmp_path, monkeypatch):
         base = ex.new_expert(ENC, 30)
         ase = ex.lora_inject(base, 2, 8.0, 0.0, seed=31)
         rng = np.random.default_rng(32)
@@ -331,7 +333,17 @@ class TestFusionCheckpoint:
             system, tmp_path / "fusion.json",
             [("e0.json", base_ref), ("ase.json", ase_ref)],
         )
+        read = []
+        original = Path.read_text
+
+        def counting(path, *args, **kwargs):
+            read.append(path.name)
+            return original(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting)
         loaded = fu.load_fusion_checkpoint(tmp_path / "fusion.json", tmp_path)
+        monkeypatch.undo()
+        assert sorted(read) == ["ase.json", "e0.json", "fusion.json"]  # each file once
         clip = cp.synth_clip("spoof", 9, SYNTH)
         assert fu.predict(loaded, clip) == fu.predict(system, clip)
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from amulet import metrics as mx
 
-from oracles import eer_midpoint_sweep
+from oracles import eer_segment_sweep
 
 finite_scores = st.lists(
     st.floats(-100, 100, allow_nan=False, allow_infinity=False), min_size=1, max_size=60
@@ -20,12 +20,12 @@ class TestComputeEer:
         scores = [0.3, 0.1, 0.7, 0.5]
         result = mx.compute_eer(mx.ScoreSet(scores, list(scores)))
         assert abs(result.eer - 0.5) < 1e-9
-        assert abs(result.eer - eer_midpoint_sweep(scores, scores)) < 1e-9
+        assert abs(result.eer - eer_segment_sweep(scores, scores)) < 1e-9
 
     def test_worked_example_is_exactly_one_third(self):
         bona = [0.9, 0.8, 0.2]
         spoof = [0.7, 0.15, 0.1]
-        assert eer_midpoint_sweep(bona, spoof) == 1.0 / 3.0
+        assert eer_segment_sweep(bona, spoof) == 1.0 / 3.0
         result = mx.compute_eer(mx.ScoreSet(bona, spoof))
         assert result.eer == 1.0 / 3.0
 
@@ -45,14 +45,15 @@ class TestComputeEer:
                 bona = np.round(bona, 1)
                 spoof = np.round(spoof, 1)
             ours = mx.compute_eer(mx.ScoreSet(bona.tolist(), spoof.tolist())).eer
-            oracle = eer_midpoint_sweep(bona, spoof)
+            oracle = eer_segment_sweep(bona, spoof)
             assert abs(ours - oracle) < 1e-9, trial
 
     @given(bona=finite_scores, spoof=finite_scores)
+    @example(bona=[-100.0], spoof=[-99.99999999999999])  # one ulp apart
     @settings(max_examples=150, deadline=None)
     def test_oracle_equivalence_property(self, bona, spoof):
         ours = mx.compute_eer(mx.ScoreSet(bona, spoof)).eer
-        assert abs(ours - eer_midpoint_sweep(bona, spoof)) < 1e-9
+        assert abs(ours - eer_segment_sweep(bona, spoof)) < 1e-9
 
     @given(bona=finite_scores, spoof=finite_scores)
     @settings(max_examples=100, deadline=None)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from amulet import tensor as tc
 
@@ -92,14 +92,18 @@ class TestLayerNorm:
     @given(
         t=dims(1, 6), d=dims(2, 8), seed=st.integers(0, 2**32 - 1)
     )
+    @example(t=3, d=2, seed=236762531)  # a row whose two values nearly cancel
     @settings(max_examples=60, deadline=None)
     def test_row_statistics(self, t, d, seed):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((t, d)) * 3.0
         x += rng.standard_normal((t, 1))  # non-constant rows with arbitrary offsets
-        _, xhat, _ = tc.layer_norm_values(x, np.ones((1, d)), np.zeros((1, d)), 1e-12)
+        eps = 1e-12
+        _, xhat, _ = tc.layer_norm_values(x, np.ones((1, d)), np.zeros((1, d)), eps)
+        var = x.var(axis=1)
         assert np.all(np.abs(xhat.mean(axis=1)) < 1e-9)
-        assert np.all(np.abs((xhat**2).mean(axis=1) - 1.0) < 1e-6)
+        # the mean square is var / (var + eps), not 1: eps matters for tiny variances
+        assert np.all(np.abs((xhat**2).mean(axis=1) - var / (var + eps)) < 1e-9)
 
 
 class TestSoftmax:
