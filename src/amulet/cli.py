@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -260,17 +261,22 @@ class Pipeline:
         refs = [(str(p.relative_to(self.root)), c) for p, c in zip(paths, checksums)]
         return bank, refs
 
-    def _fusion_data(self):
+    def _fusion_data(self, system) -> tuple:
+        """(features, labels) of the fusion subset and of every dev split,
+        with one `fusion.expert_features` list per clip."""
         manifests = [self.load_manifest("T0")]
         for condition in self.cfg.train_conditions:
             manifests.append(self.load_manifest(condition))
         subset = corpus.sample_fusion_subset(
             manifests, self.cfg.subset_fraction, self.cfg.seeds["fusion"]
         )
-        dev_entries = []
-        for manifest in manifests:
-            dev_entries.extend(manifest.split("dev"))
-        return subset, dev_entries
+        dev_entries = [e for manifest in manifests for e in manifest.split("dev")]
+
+        def features(entries):
+            return ([fusion.expert_features(system, corpus.resolve_clip(e, self.root))
+                     for e in entries], [e.label for e in entries])
+
+        return features(subset.entries), features(dev_entries)
 
     def train_fusion(self, only_k: int | None = None) -> None:
         k_values = self.cfg.k_values if only_k is None else [only_k]
@@ -285,25 +291,27 @@ class Pipeline:
         manifest_paths = [self.manifest_path("T0")] + [
             self.manifest_path(c) for c in self.cfg.train_conditions
         ]
+        loaded = {}  # bank, refs and fusion data, filled by the first stage that runs
         for k in k_values:
             stage = f"train-fusion-top{k}"
             out_path = self.ckpt_path(f"fusion_top{k}")
             watched = expert_paths + manifest_paths + [out_path]
 
             def fn(k=k, out_path=out_path, stage=stage):
-                bank, refs = self._load_bank()
-                subset, dev_entries = self._fusion_data()
+                if not loaded:
+                    loaded["bank"], loaded["refs"] = self._load_bank()
                 system = fusion.FusionSystem(
-                    bank, k, renormalize=self.cfg.renormalize,
+                    loaded["bank"], k, renormalize=self.cfg.renormalize,
                     seed=corpus.stable_seed(self.cfg.seeds["fusion"], "init", k),
                 )
+                if "data" not in loaded:
+                    loaded["data"] = self._fusion_data(system)
                 fusion.train_fusion(
-                    system, subset, dev_entries, self.root,
-                    self.cfg.fusion_train,
+                    system, *loaded["data"], self.cfg.fusion_train,
                     corpus.stable_seed(self.cfg.seeds["fusion"], "train", k),
                     log=lambda msg: self.log(stage, msg),
                 )
-                fusion.save_fusion_checkpoint(system, out_path, refs)
+                fusion.save_fusion_checkpoint(system, out_path, loaded["refs"])
 
             self.run_stage(stage, watched, fn)
 
@@ -495,7 +503,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--config", default="default",
-                        help="path to a JSON config, or 'default' for the packaged one")
+                        help="path to a JSON config, or 'default' for the built-in defaults "
+                             "(print them with validate-config)")
     parser.add_argument("--out", default=None, help="output root (overrides config and AMULET_OUT)")
     parser.add_argument("--jobs", type=int, default=1, help="worker cap for clip-level stages")
     parser.add_argument("--seed-override", type=int, default=None,
@@ -532,7 +541,7 @@ def run_command(args) -> int:
             name: corpus.stable_seed(args.seed_override, name) for name in config.seeds
         }
     out_root = _resolve_out_root(args, config)
-    print(f"[config] resolved: {json.dumps(config.resolved(), sort_keys=True)}", flush=True)
+    print(f"[config] resolved: {json.dumps(asdict(config), sort_keys=True)}", flush=True)
     if args.command == "validate-config":
         return 0
     pipeline = Pipeline(config, out_root, jobs=args.jobs)

@@ -6,13 +6,13 @@ with stable hashing, so a config fully pins the experiment.
 """
 from __future__ import annotations
 
+import hashlib
 import json
-from dataclasses import dataclass, field
-from importlib import resources
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .attacks import PRESET_NAMES
-from .corpus import SynthConfig, SynthConfigError
+from .corpus import SynthConfig, SynthConfigError, stable_seed
 from .experts import (
     EncoderConfig,
     ExpertError,
@@ -36,20 +36,31 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    out_dir: str
-    seeds: dict
-    synth: SynthConfig
-    encoder: EncoderConfig
-    roster: dict                 # expert id -> training condition
-    eval_extra: list             # eval-only single-attack conditions (e.g. T6)
-    mixed: list                  # eval-only mixed-attack conditions
-    lora: dict
-    expert_train: TrainHyper
-    fusion_train: TrainHyper
-    k_values: list
-    subset_fraction: float
-    renormalize: bool
-    raw: dict = field(default_factory=dict, repr=False)
+    """The resolved experiment; its field defaults are the default config."""
+
+    out_dir: str = "runs/default"
+    seeds: dict = field(default_factory=lambda: {"data": 8101, "training": 8202, "fusion": 8303})
+    synth: SynthConfig = field(default_factory=SynthConfig)
+    encoder: EncoderConfig = field(default_factory=EncoderConfig)
+    # expert id -> training condition
+    roster: dict = field(default_factory=lambda: {
+        "E1": "T1", "E2": "T2", "E3": "T3", "E4": "T4", "E5": "T5",
+    })
+    # eval-only single-attack conditions
+    eval_extra: list = field(default_factory=lambda: ["T6"])
+    # eval-only mixed-attack conditions
+    mixed: list = field(default_factory=lambda: [
+        "noise_first", "filter_first", "rawboost4", "rawboost5", "rawboost6", "rawboost7",
+        "rawboost8",
+    ])
+    lora: dict = field(default_factory=lambda: {
+        "rank": 4, "alpha": 16.0, "dropout": 0.1, "scale_mode": SCALE_ALPHA_OVER_R,
+    })
+    expert_train: TrainHyper = field(default_factory=TrainHyper)
+    fusion_train: TrainHyper = field(default_factory=TrainHyper)
+    k_values: list = field(default_factory=lambda: [3, 4, 5])
+    subset_fraction: float = 0.25
+    renormalize: bool = False
 
     @property
     def train_conditions(self) -> list:
@@ -67,65 +78,17 @@ class ExperimentConfig:
         return TRAIN_PRESET_OVERRIDES.get(condition, condition)
 
     def attack_seed(self, condition: str) -> int:
-        from .corpus import stable_seed
-
         return stable_seed(self.seeds["data"], "attack", condition)
 
-    def resolved(self) -> dict:
-        return {
-            "out_dir": self.out_dir,
-            "seeds": dict(self.seeds),
-            "synth": self.synth.to_dict(),
-            "encoder": self.encoder.to_dict(),
-            "roster": dict(self.roster),
-            "eval_extra": list(self.eval_extra),
-            "mixed": list(self.mixed),
-            "lora": dict(self.lora),
-            "expert_train": self.expert_train.to_dict(),
-            "fusion_train": self.fusion_train.to_dict(),
-            "k_values": list(self.k_values),
-            "subset_fraction": self.subset_fraction,
-            "renormalize": self.renormalize,
-        }
-
     def fingerprint(self) -> str:
-        import hashlib
-
-        text = json.dumps(self.resolved(), sort_keys=True, separators=(",", ":"))
+        text = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode()).hexdigest()
-
-
-def default_config_dict() -> dict:
-    text = resources.files("amulet").joinpath("configs/default.json").read_text()
-    return json.loads(text)
 
 
 def resolve_config(raw: dict) -> tuple:
     """Fill defaults, check every cross-reference; returns (config, errors)."""
     errors = []
-    defaults = {
-        "out_dir": "runs/default",
-        "seeds": {"data": 8101, "training": 8202, "fusion": 8303},
-        "synth": {},
-        "encoder": {"frame_len": 160, "hop": 160, "hidden_dims": [64, 64, 64]},
-        "roster": {"E1": "T1", "E2": "T2", "E3": "T3", "E4": "T4", "E5": "T5"},
-        "eval_extra": ["T6"],
-        "mixed": [
-            "noise_first",
-            "filter_first",
-            "rawboost4",
-            "rawboost5",
-            "rawboost6",
-            "rawboost7",
-            "rawboost8",
-        ],
-        "lora": {"rank": 4, "alpha": 16.0, "dropout": 0.1, "scale_mode": SCALE_ALPHA_OVER_R},
-        "expert_train": {},
-        "fusion_train": {},
-        "k_values": [3, 4, 5],
-        "subset_fraction": 0.25,
-        "renormalize": False,
-    }
+    defaults = asdict(ExperimentConfig())
     unknown = sorted(set(raw) - set(defaults))
     if unknown:
         errors.append(f"unknown config keys: {', '.join(unknown)}")
@@ -138,14 +101,14 @@ def resolve_config(raw: dict) -> tuple:
             errors.append(f"seeds.{name} must be an integer (every stochastic stage needs a seed)")
 
     try:
-        synth = SynthConfig.from_dict({**SynthConfig().to_dict(), **merged["synth"]})
+        synth = SynthConfig(**{**defaults["synth"], **merged["synth"]}).validate()
     except (SynthConfigError, TypeError) as exc:
         errors.append(f"synth: {exc}")
         synth = SynthConfig()
 
     try:
-        encoder = EncoderConfig.from_dict({**defaults["encoder"], **merged["encoder"]})
-    except (ExpertError, TypeError, KeyError) as exc:
+        encoder = EncoderConfig(**{**defaults["encoder"], **merged["encoder"]})
+    except (ExpertError, TypeError) as exc:
         errors.append(f"encoder: {exc}")
         encoder = EncoderConfig()
 
@@ -168,14 +131,14 @@ def resolve_config(raw: dict) -> tuple:
     lora = {**defaults["lora"], **merged["lora"]}
     if not isinstance(lora.get("rank"), int) or lora["rank"] < 1:
         errors.append("lora.rank must be an integer >= 1")
-    if not 0.0 <= float(lora.get("dropout", 0.1)) < 1.0:
+    if not 0.0 <= float(lora["dropout"]) < 1.0:
         errors.append("lora.dropout must be in [0, 1)")
     if lora.get("scale_mode") not in (SCALE_ALPHA_OVER_R, SCALE_ALPHA_LITERAL):
         errors.append(f"lora.scale_mode must be {SCALE_ALPHA_OVER_R!r} or {SCALE_ALPHA_LITERAL!r}")
 
     def hyper(key):
         try:
-            return TrainHyper.from_dict({**TrainHyper().to_dict(), **merged[key]})
+            return TrainHyper(**{**defaults[key], **merged[key]})
         except TypeError as exc:
             errors.append(f"{key}: {exc}")
             return TrainHyper()
@@ -210,9 +173,9 @@ def resolve_config(raw: dict) -> tuple:
         expert_train=expert_train,
         fusion_train=fusion_train,
         k_values=k_values,
-        subset_fraction=float(fraction) if isinstance(fraction, (int, float)) else 0.25,
+        subset_fraction=(float(fraction) if isinstance(fraction, (int, float))
+                         else defaults["subset_fraction"]),
         renormalize=bool(merged["renormalize"]),
-        raw=raw,
     )
     return config, errors
 
@@ -222,7 +185,7 @@ def validate_config(source) -> ExperimentConfig:
     if isinstance(source, dict):
         raw = source
     elif source == "default":
-        raw = default_config_dict()
+        raw = {}
     else:
         path = Path(source)
         if not path.exists():

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioClip, UnsupportedEncodingError, read_wav, write_wav
+from .audio import AudioClip, read_wav, write_wav
 from .attacks import AttackSpec, apply_attack
 
 SPLITS = ("train", "dev", "eval")
@@ -71,24 +71,6 @@ class SynthConfig:
         if errors:
             raise SynthConfigError("; ".join(errors))
         return self
-
-    def to_dict(self) -> dict:
-        return {
-            "n_train": self.n_train,
-            "n_dev": self.n_dev,
-            "n_eval": self.n_eval,
-            "clip_seconds": self.clip_seconds,
-            "sample_rate": self.sample_rate,
-            "artifact_strength": self.artifact_strength,
-            "harmonics_min": self.harmonics_min,
-            "harmonics_max": self.harmonics_max,
-            "noise_floor_db": self.noise_floor_db,
-            "peak": self.peak,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SynthConfig":
-        return cls(**data).validate()
 
 
 @dataclass
@@ -250,7 +232,7 @@ def resolve_clip(entry: ManifestEntry, root) -> AudioClip:
         clip = read_wav(Path(root) / entry.path, clip_id=entry.clip_id, label=entry.label)
         return clip
     if entry.synth is not None:
-        cfg = SynthConfig.from_dict(entry.synth)
+        cfg = SynthConfig(**entry.synth).validate()
         clip = synth_clip(entry.label, entry.seed, cfg)
         return AudioClip(clip.samples, clip.sample_rate, entry.clip_id, entry.label)
     raise ManifestError(f"{entry.clip_id}: entry has neither a path nor a synth recipe")
@@ -345,42 +327,4 @@ def sample_fusion_subset(manifests, fraction: float, seed: int) -> Manifest:
                     synth=src.synth,
                 )
             )
-    return Manifest(entries)
-
-
-def ingest_wav_dir(wav_dir, labels_file, allow_any_rate: bool = False) -> Manifest:
-    """Build a manifest over existing PCM 16-bit mono WAVs labelled in a text file."""
-    wav_dir = Path(wav_dir)
-    labels = {}
-    for line_no, line in enumerate(Path(labels_file).read_text().splitlines(), 1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) not in (2, 3):
-            raise ManifestError(f"{labels_file}:{line_no}: expected 'filename label [split]'")
-        name, label = parts[0], parts[1]
-        split = parts[2] if len(parts) == 3 else "eval"
-        if label not in CLASS_LABELS:
-            raise ManifestError(f"{labels_file}:{line_no}: unknown label {label!r}")
-        if split not in SPLITS:
-            raise ManifestError(f"{labels_file}:{line_no}: unknown split {split!r}")
-        labels[name] = (label, split)
-
-    entries = []
-    wav_paths = sorted(wav_dir.glob("*.wav"))
-    for path in wav_paths:
-        if path.name not in labels:
-            raise ManifestError(f"{path.name}: present in {wav_dir} but missing from labels file")
-        label, split = labels[path.name]
-        clip = read_wav(path, clip_id=path.stem, label=label)  # validates encoding
-        if clip.sample_rate != 16000 and not allow_any_rate:
-            raise UnsupportedEncodingError(
-                f"{path.name}: sample rate {clip.sample_rate} != 16000 (pass allow_any_rate to accept)"
-            )
-        entries.append(
-            ManifestEntry(path.stem, label, split, "ingested", stable_seed(path.name), path=path.name)
-        )
-    missing = sorted(set(labels) - {p.name for p in wav_paths})
-    if missing:
-        raise ManifestError(f"labelled files missing on disk: {', '.join(missing)}")
     return Manifest(entries)

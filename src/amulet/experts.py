@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -68,13 +68,6 @@ class EncoderConfig:
     def layer_dims(self):
         dims = (self.frame_len, *self.hidden_dims)
         return list(zip(dims[:-1], dims[1:]))
-
-    def to_dict(self) -> dict:
-        return {"frame_len": self.frame_len, "hop": self.hop, "hidden_dims": list(self.hidden_dims)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EncoderConfig":
-        return cls(data["frame_len"], data["hop"], tuple(data["hidden_dims"]))
 
 
 @dataclass
@@ -358,7 +351,9 @@ def expert_logits(model: ExpertModel, feats: np.ndarray) -> np.ndarray:
     return head_logits(model, encoder_forward(model, feats))
 
 
-def make_leaves(model: ExpertModel) -> dict:
+def make_leaves(model) -> dict:
+    """Graph leaves of a named-tensor store (an `ExpertModel` or a
+    `FusionSystem`): one per tensor, needing a gradient unless frozen."""
     return {
         name: tc.Node(value, requires_grad=name not in model.frozen)
         for name, value in model.tensors.items()
@@ -446,29 +441,80 @@ class TrainHyper:
     lr_floor: float = 1e-7
     patience: int = 10
 
-    def to_dict(self) -> dict:
-        return {
-            "lr": self.lr,
-            "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs,
-            "plateau_epochs": self.plateau_epochs,
-            "lr_factor": self.lr_factor,
-            "lr_floor": self.lr_floor,
-            "patience": self.patience,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainHyper":
-        return cls(**data)
-
-
-def dev_eer(model: ExpertModel, dev_feats, dev_labels) -> float:
+def dev_eer(clip_logits, dev_feats, dev_labels) -> float:
+    """EER of the bona-fide-positive scores logit(bonafide) - logit(spoof),
+    with `clip_logits(feats)` giving a clip's 1x2 logit row."""
     bona, spoof = [], []
     for feats, label in zip(dev_feats, dev_labels):
-        logits = expert_logits(model, feats)
+        logits = clip_logits(feats)
         score = float(logits[0, 0] - logits[0, 1])
         (bona if label == "bonafide" else spoof).append(score)
     return compute_eer(ScoreSet(bona, spoof)).eer
+
+
+def fit(model, train_feats, train_labels, clip_loss, epoch_eer, hyper: TrainHyper,
+        seed: int, log=None) -> tuple:
+    """Minibatch gradient descent with dev-EER plateau halving and early stop.
+
+    `model` is a named-tensor store: its `tensors` not in `frozen` train, and
+    are updated in place. `clip_loss(leaves, feats, label, dropout_rng)` builds
+    one clip's loss graph, with a generator seeded per epoch and clip for any
+    dropout; `epoch_eer()` scores the current tensors on the dev set after
+    every epoch. Returns (copy of the tensors at the first lowest dev EER,
+    per-epoch history).
+    """
+    lr = hyper.lr
+    best = {name: value.copy() for name, value in model.tensors.items()}
+    best_eer = float("inf")
+    plateau = 0
+    stall = 0
+    history = []
+
+    for epoch in range(hyper.max_epochs):
+        shuffle_rng = np.random.Generator(np.random.Philox(stable_seed(seed, "shuffle", epoch)))
+        order = shuffle_rng.permutation(len(train_feats))
+        epoch_loss = 0.0
+        for start in range(0, len(order), hyper.batch_size):
+            batch = order[start : start + hyper.batch_size]
+            leaves = make_leaves(model)
+            total = None
+            for idx in batch:
+                drop_rng = np.random.Generator(
+                    np.random.Philox(stable_seed(seed, "dropout", epoch, int(idx)))
+                )
+                loss = clip_loss(leaves, train_feats[idx], train_labels[idx], drop_rng)
+                total = loss if total is None else tc.add(total, loss)
+            try:
+                batch_loss = tc.scale(total, 1.0 / len(batch))
+                tc.backward(batch_loss)
+            except tc.NonFiniteError as exc:
+                raise tc.NonFiniteError(
+                    f"non-finite loss at epoch {epoch} batch {start // hyper.batch_size}: {exc}"
+                ) from exc
+            for name, node in leaves.items():
+                if node.requires_grad:
+                    model.tensors[name] = model.tensors[name] - lr * node.grad
+            epoch_loss += float(batch_loss.value[0, 0]) * len(batch)
+        epoch_loss /= len(train_feats)
+        eer = epoch_eer()
+        history.append({"epoch": epoch, "loss": epoch_loss, "dev_eer": eer, "lr": lr})
+        if log is not None:
+            log(f"epoch={epoch} loss={epoch_loss:.6f} dev_eer={eer:.4f} lr={lr:.2e}")
+        if eer < best_eer:
+            best_eer = eer
+            best = {name: value.copy() for name, value in model.tensors.items()}
+            plateau = 0
+            stall = 0
+        else:
+            plateau += 1
+            stall += 1
+            if plateau >= hyper.plateau_epochs:
+                lr = max(lr * hyper.lr_factor, hyper.lr_floor)
+                plateau = 0
+            if stall >= hyper.patience:
+                break
+    return best, history
 
 
 def train_expert(
@@ -480,79 +526,24 @@ def train_expert(
     seed: int,
     log=None,
 ) -> tuple:
-    """Gradient-descent training with dev-EER plateau halving and early stop.
-
-    Returns (best model by dev EER, per-epoch history). Frozen tensors are
-    checksum-verified; any drift is a hard failure.
-    """
+    """`fit` on the clips of two manifest splits. Returns (best model by dev
+    EER, per-epoch history). Frozen tensors are checksum-verified; any drift
+    is a hard failure."""
     work = model.copy()
     contract = frozen_checksum(work)
-    cfg = work.cfg
 
     def load_feats(entries):
-        feats, labels = [], []
-        for entry in entries:
-            feats.append(frame_features(resolve_clip(entry, root), cfg))
-            labels.append(entry.label)
-        return feats, labels
+        return ([frame_features(resolve_clip(e, root), work.cfg) for e in entries],
+                [e.label for e in entries])
 
-    train_feats, train_labels = load_feats(train_entries)
-    dev_feats, dev_labels = load_feats(dev_entries)
-
-    lr = hyper.lr
-    best = work.copy()
-    best_eer = float("inf")
-    plateau = 0
-    stall = 0
-    history = []
-    uses_dropout = work.has_adapters and work.lora_meta["dropout_p"] > 0.0
-
-    for epoch in range(hyper.max_epochs):
-        shuffle_rng = np.random.Generator(np.random.Philox(stable_seed(seed, "shuffle", epoch)))
-        order = shuffle_rng.permutation(len(train_feats))
-        epoch_loss = 0.0
-        for start in range(0, len(order), hyper.batch_size):
-            batch = order[start : start + hyper.batch_size]
-            leaves = make_leaves(work)
-            total = None
-            for idx in batch:
-                drop_rng = None
-                if uses_dropout:
-                    drop_rng = np.random.Generator(
-                        np.random.Philox(stable_seed(seed, "dropout", epoch, int(idx)))
-                    )
-                loss = loss_nodes(work, leaves, train_feats[idx], train_labels[idx], drop_rng)
-                total = loss if total is None else tc.add(total, loss)
-            try:
-                batch_loss = tc.scale(total, 1.0 / len(batch))
-                tc.backward(batch_loss)
-            except tc.NonFiniteError as exc:
-                raise tc.NonFiniteError(
-                    f"non-finite loss at epoch {epoch} batch {start // hyper.batch_size}: {exc}"
-                ) from exc
-            for name, node in leaves.items():
-                if node.requires_grad:
-                    work.tensors[name] = work.tensors[name] - lr * node.grad
-            epoch_loss += float(batch_loss.value[0, 0]) * len(batch)
-        epoch_loss /= len(train_feats)
-        eer = dev_eer(work, dev_feats, dev_labels)
-        history.append({"epoch": epoch, "loss": epoch_loss, "dev_eer": eer, "lr": lr})
-        if log is not None:
-            log(f"epoch={epoch} loss={epoch_loss:.6f} dev_eer={eer:.4f} lr={lr:.2e}")
-        if eer < best_eer:
-            best_eer = eer
-            best = work.copy()
-            plateau = 0
-            stall = 0
-        else:
-            plateau += 1
-            stall += 1
-            if plateau >= hyper.plateau_epochs:
-                lr = max(lr * hyper.lr_factor, hyper.lr_floor)
-                plateau = 0
-            if stall >= hyper.patience:
-                break
-
+    train_set, dev_set = load_feats(train_entries), load_feats(dev_entries)
+    tensors, history = fit(
+        work, *train_set,
+        lambda leaves, feats, label, rng: loss_nodes(work, leaves, feats, label, rng),
+        lambda: dev_eer(lambda feats: expert_logits(work, feats), *dev_set),
+        hyper, seed, log,
+    )
+    best = ExpertModel(work.cfg, tensors, work.frozen, work.lora_meta)
     if frozen_checksum(work) != contract or frozen_checksum(best) != contract:
         raise FrozenContractError("frozen tensors changed during training")
     return best, history
@@ -634,7 +625,7 @@ def save_expert_checkpoint(model: ExpertModel, path) -> str:
     payload = {
         "format": "expert-checkpoint",
         "version": CHECKPOINT_VERSION,
-        "encoder": model.cfg.to_dict(),
+        "encoder": asdict(model.cfg),
         "tensors": _tensor_payload(model.tensors, model.tensors),
         "frozen": sorted(model.frozen),
         "lora": model.lora_meta,
@@ -645,7 +636,7 @@ def save_expert_checkpoint(model: ExpertModel, path) -> str:
 def load_expert_checkpoint(path) -> tuple:
     """(model, verified content checksum of the file)."""
     payload = _read_payload(path, "expert-checkpoint")
-    cfg = EncoderConfig.from_dict(payload["encoder"])
+    cfg = EncoderConfig(**payload["encoder"])
     model = ExpertModel(cfg, _tensors_from_payload(payload["tensors"]),
                         payload["frozen"], payload.get("lora"))
     return model, payload["checksum"]
@@ -659,7 +650,7 @@ def save_adapter_checkpoint(model: ExpertModel, path) -> str:
     payload = {
         "format": "adapter-checkpoint",
         "version": CHECKPOINT_VERSION,
-        "encoder": model.cfg.to_dict(),
+        "encoder": asdict(model.cfg),
         "tensors": _tensor_payload(model.tensors, names),
         "lora": model.lora_meta,
         "base_checksum": encoder_checksum(model),

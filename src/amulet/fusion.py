@@ -14,17 +14,16 @@ available for ablation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as tc
 from .audio import AudioClip
-from .corpus import resolve_clip, stable_seed
 from .experts import (
+    LABEL_INDEX,
     CheckpointError,
-    ExpertModel,
     FrozenContractError,
     TrainHyper,
     _read_payload,
@@ -32,13 +31,14 @@ from .experts import (
     _tensors_from_payload,
     _write_payload,
     bank_forward,
+    dev_eer,
     encoder_forward,  # noqa: F401  perfbench's tracer test checks this binding
+    fit,
     frame_features,
     full_checksum,
     load_adapter_checkpoint,
     load_expert_checkpoint,
 )
-from .metrics import ScoreSet, compute_eer
 
 LN_EPS = 1e-5
 
@@ -94,8 +94,13 @@ class FusionSystem:
             self.dim, self.n_specialists, seed)
         self.expert_checksums = [full_checksum(e) for e in self.experts]
 
-    def copy_params(self) -> dict:
-        return {k: v.copy() for k, v in self.params.items()}
+    # `fit` trains a named-tensor store: every fusion parameter trains, and
+    # the bank is outside the graph
+    frozen = frozenset()
+
+    @property
+    def tensors(self) -> dict:
+        return self.params
 
     def verify_bank(self) -> None:
         current = [full_checksum(e) for e in self.experts]
@@ -150,20 +155,12 @@ def expert_features(system: FusionSystem, clip: AudioClip) -> list:
     return bank_forward(system.experts, frame_features(clip, system.experts[0].cfg))
 
 
-def fused_logits(system: FusionSystem, z_all, zero_gate: bool = False):
+def fused_logits(system: FusionSystem, z_all):
     """Gate + fuse + head on precomputed per-expert features [z0, z1, ...]."""
     decision = gate_scores(z_all[0], system.params["gate.w"], system.params["gate.b"], system.k)
-    if zero_gate:
-        decision = GateDecision(np.zeros_like(decision.scores), decision.selected)
     fused = fuse(z_all[1:], z_all[0], decision, system.params["ln.g"],
                  system.params["ln.b"], system.renormalize)
     return decision, head_forward(fused, system.params)
-
-
-def predict(system: FusionSystem, clip: AudioClip, zero_gate: bool = False) -> float:
-    """Bona-fide-positive score: logit(bonafide) - logit(spoof)."""
-    _, logits = fused_logits(system, expert_features(system, clip), zero_gate)
-    return float(logits[0, 0] - logits[0, 1])
 
 
 def ensemble_logits(per_expert_logits) -> np.ndarray:
@@ -213,93 +210,24 @@ def _fusion_loss_nodes(system, leaves, z_all, label_idx: int) -> tc.Node:
     return tc.cross_entropy(logits, label_idx)
 
 
-def _system_dev_eer(system: FusionSystem, dev_features, dev_labels) -> float:
-    bona, spoof = [], []
-    for z_all, label in zip(dev_features, dev_labels):
-        _, logits = fused_logits(system, z_all)
-        score = float(logits[0, 0] - logits[0, 1])
-        (bona if label == "bonafide" else spoof).append(score)
-    return compute_eer(ScoreSet(bona, spoof)).eer
+def train_fusion(system: FusionSystem, train_set, dev_set, hyper: TrainHyper, seed: int,
+                 log=None) -> list:
+    """`fit` of gate/LN/pool/classifier; returns the per-epoch history.
 
-
-def train_fusion(
-    system: FusionSystem,
-    subset_manifest,
-    dev_entries,
-    root,
-    hyper: TrainHyper,
-    seed: int,
-    log=None,
-) -> list:
-    """Train gate/LN/pool/classifier on the sampled fusion subset.
-
-    Expert tensors are barred from the graph entirely and checksum-verified
-    before and after; selection indices are constants within a step, so
-    gradients reach the selected scores only.
+    `train_set` and `dev_set` are (features, labels) with one
+    `expert_features` list per clip. Expert tensors are barred from the graph
+    entirely and checksum-verified before and after; selection indices are
+    constants within a step, so gradients reach the selected scores only.
     """
-    from .experts import LABEL_INDEX
-
     system.verify_bank()
-
-    def cache(entries):
-        features, labels = [], []
-        for entry in entries:
-            clip = resolve_clip(entry, root)
-            features.append(expert_features(system, clip))
-            labels.append(entry.label)
-        return features, labels
-
-    train_features, train_labels = cache(subset_manifest.entries)
-    dev_features, dev_labels = cache(dev_entries)
-
-    lr = hyper.lr
-    best_params = system.copy_params()
-    best_eer = float("inf")
-    plateau = 0
-    stall = 0
-    history = []
-
-    for epoch in range(hyper.max_epochs):
-        shuffle_rng = np.random.Generator(np.random.Philox(stable_seed(seed, "shuffle", epoch)))
-        order = shuffle_rng.permutation(len(train_features))
-        epoch_loss = 0.0
-        for start in range(0, len(order), hyper.batch_size):
-            batch = order[start : start + hyper.batch_size]
-            leaves = {
-                name: tc.Node(value, requires_grad=True)
-                for name, value in system.params.items()
-            }
-            total = None
-            for idx in batch:
-                loss = _fusion_loss_nodes(
-                    system, leaves, train_features[idx], LABEL_INDEX[train_labels[idx]]
-                )
-                total = loss if total is None else tc.add(total, loss)
-            batch_loss = tc.scale(total, 1.0 / len(batch))
-            tc.backward(batch_loss)
-            for name, node in leaves.items():
-                system.params[name] = system.params[name] - lr * node.grad
-            epoch_loss += float(batch_loss.value[0, 0]) * len(batch)
-        epoch_loss /= len(train_features)
-        eer = _system_dev_eer(system, dev_features, dev_labels)
-        history.append({"epoch": epoch, "loss": epoch_loss, "dev_eer": eer, "lr": lr})
-        if log is not None:
-            log(f"epoch={epoch} loss={epoch_loss:.6f} dev_eer={eer:.4f} lr={lr:.2e}")
-        if eer < best_eer:
-            best_eer = eer
-            best_params = system.copy_params()
-            plateau = 0
-            stall = 0
-        else:
-            plateau += 1
-            stall += 1
-            if plateau >= hyper.plateau_epochs:
-                lr = max(lr * hyper.lr_factor, hyper.lr_floor)
-                plateau = 0
-            if stall >= hyper.patience:
-                break
-
-    system.params = best_params
+    params, history = fit(
+        system, *train_set,
+        lambda leaves, z_all, label, _rng: _fusion_loss_nodes(system, leaves, z_all,
+                                                              LABEL_INDEX[label]),
+        lambda: dev_eer(lambda z_all: fused_logits(system, z_all)[1], *dev_set),
+        hyper, seed, log,
+    )
+    system.params = params
     system.verify_bank()
     return history
 

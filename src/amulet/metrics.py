@@ -81,23 +81,6 @@ def compute_eer(scores: ScoreSet) -> EerResult:
     return EerResult(float(eer), float(threshold))
 
 
-def score_corpus(score_fn, manifest, root, system: str, condition: str | None = None,
-                 split: str = "eval") -> ScoreSet:
-    """Score every entry of a split with `score_fn(clip) -> float`."""
-    from .corpus import resolve_clip
-
-    entries = sorted(manifest.split(split), key=lambda e: e.clip_id)
-    if not entries:
-        raise ScoreSetError(f"manifest has no {split!r} entries to score")
-    condition = condition if condition is not None else manifest.condition()
-    bona, spoof = [], []
-    for entry in entries:
-        clip = resolve_clip(entry, root)
-        score = float(score_fn(clip))
-        (bona if entry.label == "bonafide" else spoof).append(score)
-    return ScoreSet(bona, spoof, condition, system)
-
-
 def save_scores(scores: ScoreSet, path) -> None:
     Path(path).write_text(json.dumps(scores.to_dict(), sort_keys=True, separators=(",", ":")) + "\n")
 
@@ -112,21 +95,17 @@ class EvalReport:
 
     systems: list
     conditions: list
-    cells: dict = field(default_factory=dict)  # (system, condition) -> dict or None
-    trainable_params: dict = field(default_factory=dict)  # system -> int or None
-    footnotes: list = field(default_factory=list)
+    cells: dict = field(default_factory=dict)  # (system, condition) -> dict
+    trainable_params: dict = field(default_factory=dict)  # system -> int
 
-    def eer_percent(self, system: str, condition: str):
-        cell = self.cells[(system, condition)]
-        return None if cell is None else cell["eer_percent"]
+    def eer_percent(self, system: str, condition: str) -> float:
+        return self.cells[(system, condition)]["eer_percent"]
 
-    def row_average(self, system: str):
-        values = [self.eer_percent(system, c) for c in self.conditions]
-        values = [v for v in values if v is not None]
-        return float(np.mean(values)) if values else None
+    def row_average(self, system: str) -> float:
+        return float(np.mean([self.eer_percent(system, c) for c in self.conditions]))
 
 
-def build_report(score_sets, trainable_params=None, footnotes=None) -> EvalReport:
+def build_report(score_sets, trainable_params=None) -> EvalReport:
     """Assemble the matrix; every (system, condition) pair must be covered."""
     systems, conditions, cells = [], [], {}
     for ss in score_sets:
@@ -146,18 +125,8 @@ def build_report(score_sets, trainable_params=None, footnotes=None) -> EvalRepor
     for system in systems:
         for condition in conditions:
             if (system, condition) not in cells:
-                raise ReportError(f"missing cell ({system}, {condition}); mark it NA explicitly")
-    return EvalReport(
-        systems,
-        conditions,
-        cells,
-        dict(trainable_params or {}),
-        list(footnotes or []),
-    )
-
-
-def mark_na(report: EvalReport, system: str, condition: str) -> None:
-    report.cells[(system, condition)] = None
+                raise ReportError(f"missing cell ({system}, {condition})")
+    return EvalReport(systems, conditions, cells, dict(trainable_params or {}))
 
 
 def report_to_csv(report: EvalReport) -> str:
@@ -168,13 +137,10 @@ def report_to_csv(report: EvalReport) -> str:
         tp_text = "" if tp is None else str(tp)
         for condition in report.conditions:
             cell = report.cells[(system, condition)]
-            if cell is None:
-                lines.append(f"{system},{condition},NA,,,{tp_text}")
-            else:
-                lines.append(
-                    f"{system},{condition},{cell['eer_percent']!r},"
-                    f"{cell['n_bona']},{cell['n_spoof']},{tp_text}"
-                )
+            lines.append(
+                f"{system},{condition},{cell['eer_percent']!r},"
+                f"{cell['n_bona']},{cell['n_spoof']},{tp_text}"
+            )
     return "\n".join(lines) + "\n"
 
 
@@ -192,15 +158,12 @@ def report_from_csv(text: str) -> EvalReport:
             conditions.append(condition)
         if params:
             tp[system] = int(params)
-        if eer == "NA":
-            cells[(system, condition)] = None
-        else:
-            cells[(system, condition)] = {
-                "eer_percent": float(eer),
-                "n_bona": int(n_bona),
-                "n_spoof": int(n_spoof),
-            }
-    return EvalReport(systems, conditions, cells, tp, [])
+        cells[(system, condition)] = {
+            "eer_percent": float(eer),
+            "n_bona": int(n_bona),
+            "n_spoof": int(n_spoof),
+        }
+    return EvalReport(systems, conditions, cells, tp)
 
 
 def render_report_text(report: EvalReport, title: str) -> str:
@@ -214,25 +177,9 @@ def render_report_text(report: EvalReport, title: str) -> str:
     for system in report.systems:
         row = system.ljust(name_width)
         for condition in report.conditions:
-            value = report.eer_percent(system, condition)
-            row += ("NA" if value is None else f"{value:.2f}").rjust(col_width)
-        avg = report.row_average(system)
-        row += ("NA" if avg is None else f"{avg:.2f}").rjust(col_width)
+            row += f"{report.eer_percent(system, condition):.2f}".rjust(col_width)
+        row += f"{report.row_average(system):.2f}".rjust(col_width)
         tp = report.trainable_params.get(system)
         row += ("" if tp is None else str(tp)).rjust(10)
         rows.append(row)
-    for note in report.footnotes:
-        rows.append("")
-        rows.append(f"note: {note}")
     return "\n".join(rows) + "\n"
-
-
-def param_ratio(ase_model, fft_model) -> float:
-    """Trainable-parameter percentage of an adapted model vs a fully tuned one."""
-    from .experts import count_trainable
-
-    ase = count_trainable(ase_model)["trainable"]
-    fft = count_trainable(fft_model)["trainable"]
-    if fft == 0:
-        raise ReportError("reference model has no trainable parameters")
-    return 100.0 * ase / fft

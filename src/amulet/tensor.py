@@ -134,8 +134,10 @@ def matmul(a: Node, b: Node) -> Node:
     value = matmul_values(a.value, b.value)
 
     def push(g):
-        _acc(a, matmul_values(g, b.value.T))
-        _acc(b, matmul_values(a.value.T, g))
+        if a.needs_grad:
+            a.grad += matmul_values(g, b.value.T)
+        if b.needs_grad:
+            b.grad += matmul_values(a.value.T, g)
 
     return Node(value, (a, b), "matmul", push=push)
 

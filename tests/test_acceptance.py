@@ -279,10 +279,12 @@ class TestCriterion6FrozenContract:
         bank = [base, ase]
         system = fu.FusionSystem(bank, k=1, seed=64)
         before = [ex.full_checksum(e) for e in bank]
-        fu.train_fusion(
-            system, cp.Manifest(manifest.split("train")), manifest.split("dev"),
-            tmp_path, ex.TrainHyper(max_epochs=2), seed=65,
+        train_set, dev_set = (
+            ([fu.expert_features(system, cp.resolve_clip(e, tmp_path)) for e in entries],
+             [e.label for e in entries])
+            for entries in (manifest.split("train"), manifest.split("dev"))
         )
+        fu.train_fusion(system, train_set, dev_set, ex.TrainHyper(max_epochs=2), seed=65)
         after = [ex.full_checksum(e) for e in bank]
         assert after == before
         report(

@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import shutil
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from amulet import cli
 from amulet import experts as ex
 from amulet import fusion as fu
-from amulet.config import ConfigError, validate_config
+from amulet.config import ConfigError, resolve_config, validate_config
 
 
 def micro_config(out_dir, **overrides):
@@ -47,6 +49,26 @@ class TestValidateConfig:
         assert config.k_values == [3, 4, 5]
         assert config.expert_ids == ["E1", "E2", "E3", "E4", "E5"]
         assert set(config.seeds) == {"data", "training", "fusion"}
+
+    def test_default_fingerprint_is_pinned(self):
+        # the fingerprint keys every stage cache: a moved default re-runs them all
+        assert validate_config("default").fingerprint() == (
+            "dae3321794c0415eb90514ff0234f60feec8d29cc6b34a56bf809da74c29ffe4"
+        )
+
+    def test_benchmark_config_keys_resolve(self, monkeypatch):
+        bench = Path(__file__).resolve().parent.parent / "perfbench"
+        monkeypatch.syspath_prepend(str(bench))
+        spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+        for workload in run.WORKLOADS:
+            raw = run.make_config(workload, seed=1)
+            for key, value in raw.items():
+                config, errors = resolve_config({key: value})
+                assert errors == [], (workload, key)
+                assert json.loads(json.dumps(asdict(config)))[key] == value, (workload, key)
+            validate_config(raw)
 
     def test_k_exceeding_expert_count(self, tmp_path, capsys):
         path = write_config(tmp_path, micro_config(tmp_path / "out", k_values=[3]))

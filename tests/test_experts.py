@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,53 @@ class TestBankForward:
             assert np.array_equal(z, ex.encoder_forward(model, feats))
 
 
+class TestFit:
+    """`fit`'s schedule against a scripted dev-EER sequence."""
+
+    def _fit(self, eers, **hyper):
+        store = SimpleNamespace(
+            tensors={"w": np.array([[1.0], [-2.0]]), "frozen": np.array([[3.0]])},
+            frozen={"frozen"},
+        )
+        frozen_before = store.tensors["frozen"]
+        feats = [np.array([[0.5, 1.0]]), np.array([[-1.0, 0.25]]), np.array([[2.0, -0.5]])]
+        snapshots = []
+
+        def clip_loss(leaves, x, label, rng):
+            return tc.sum_all(tc.matmul(tc.constant(x), leaves["w"]))
+
+        def epoch_eer():
+            snapshots.append(store.tensors["w"].copy())
+            return eers[len(snapshots) - 1]
+
+        best, history = ex.fit(store, feats, ["bonafide", "spoof", "spoof"], clip_loss,
+                               epoch_eer, ex.TrainHyper(**hyper), seed=5)
+        assert store.tensors["frozen"] is frozen_before
+        assert [h["dev_eer"] for h in history] == eers[: len(history)]
+        return best, history, snapshots
+
+    def test_lr_halves_after_plateau_and_stops_at_floor(self):
+        eers = [0.5, 0.5, 0.5, 0.4, 0.4, 0.4, 0.4, 0.4, 0.4, 0.4, 0.4, 0.4, 0.4, 0.4]
+        _, history, _ = self._fit(eers, lr=1.0, batch_size=2, max_epochs=len(eers),
+                                  plateau_epochs=2, lr_factor=0.5, lr_floor=0.2, patience=100)
+        assert [h["lr"] for h in history] == [
+            1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.25, 0.25, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2,
+        ]
+
+    def test_stops_after_patience(self):
+        eers = [0.5, 0.3, 0.4, 0.3, 0.35, 0.2, 0.1]
+        _, history, _ = self._fit(eers, lr=0.1, max_epochs=len(eers), patience=3)
+        assert len(history) == 5  # the minimum at epoch 1, then 3 epochs without a new one
+
+    def test_returns_params_of_first_minimum(self):
+        eers = [0.5, 0.2, 0.2, 0.3]
+        best, history, snapshots = self._fit(eers, lr=0.1, max_epochs=len(eers))
+        assert len(history) == 4
+        assert np.array_equal(best["w"], snapshots[1])
+        assert not np.array_equal(best["w"], snapshots[2])
+        assert np.array_equal(best["frozen"], [[3.0]])
+
+
 class TestTraining:
     def test_loss_decreases_and_reload_reproduces_dev_eer(self, tiny_corpus, tmp_path):
         manifest, root = tiny_corpus
@@ -253,12 +302,12 @@ class TestTraining:
 
         feats = [ex.frame_features(cp.resolve_clip(e, root), ENC) for e in manifest.split("dev")]
         labels = [e.label for e in manifest.split("dev")]
-        before = ex.dev_eer(model, feats, labels)
+        before = ex.dev_eer(lambda f: ex.expert_logits(model, f), feats, labels)
         path = tmp_path / "e0.json"
         saved_checksum = ex.save_expert_checkpoint(model, path)
         reloaded, checksum = ex.load_expert_checkpoint(path)
         assert checksum == saved_checksum
-        assert ex.dev_eer(reloaded, feats, labels) == before
+        assert ex.dev_eer(lambda f: ex.expert_logits(reloaded, f), feats, labels) == before
         for name in model.tensors:
             assert np.array_equal(model.tensors[name], reloaded.tensors[name])
 

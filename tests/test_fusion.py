@@ -1,3 +1,4 @@
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -33,10 +34,21 @@ def synth_entries(n=8, condition="T0"):
             entries.append(
                 cp.ManifestEntry(
                     f"{condition}_{label}_{i}", label, "train", condition,
-                    cp.stable_seed(condition, label, i), synth=SYNTH.to_dict(),
+                    cp.stable_seed(condition, label, i), synth=asdict(SYNTH),
                 )
             )
     return entries
+
+
+def feature_set(system, entries):
+    """(features, labels) of synthesized entries, as `train_fusion` takes them."""
+    return ([fu.expert_features(system, cp.resolve_clip(e, ".")) for e in entries],
+            [e.label for e in entries])
+
+
+def score(system, clip) -> float:
+    _, logits = fu.fused_logits(system, fu.expert_features(system, clip))
+    return float(logits[0, 0] - logits[0, 1])
 
 
 class TestGateScores:
@@ -221,28 +233,16 @@ class TestPredict:
     def test_deterministic(self):
         system = self._system()
         clip = self._clip(3)
-        assert fu.predict(system, clip) == fu.predict(system, clip)
-
-    def test_zero_gate_equals_shared_only_pipeline(self):
-        system = self._system()
-        clip = self._clip(4)
-        score = fu.predict(system, clip, zero_gate=True)
-        feats = ex.frame_features(clip, ENC)
-        z0 = ex.encoder_forward(system.experts[0], feats)
-        fused, _, _ = tc.layer_norm_values(
-            np.zeros_like(z0) + z0, system.params["ln.g"], system.params["ln.b"], fu.LN_EPS
-        )
-        logits = fu.head_forward(fused, system.params)
-        assert score == float(logits[0, 0] - logits[0, 1])
+        assert score(system, clip) == score(system, clip)
 
     def test_batch_parallel_equals_sequential(self):
         from concurrent.futures import ThreadPoolExecutor
 
         system = self._system()
         clips = [self._clip(s) for s in range(8)]
-        sequential = [fu.predict(system, c) for c in clips]
+        sequential = [score(system, c) for c in clips]
         with ThreadPoolExecutor(max_workers=4) as pool:
-            threaded = list(pool.map(lambda c: fu.predict(system, c), clips))
+            threaded = list(pool.map(lambda c: score(system, c), clips))
         assert sequential == threaded
 
 
@@ -250,10 +250,10 @@ class TestTrainFusion:
     def test_frozen_bank_and_learning(self):
         system = fu.FusionSystem(make_bank(), k=3, seed=17)
         before = [ex.full_checksum(e) for e in system.experts]
-        subset = cp.Manifest(synth_entries(6, "T0"))
-        dev = synth_entries(4, "dev0")
+        subset = feature_set(system, synth_entries(6, "T0"))
+        dev = feature_set(system, synth_entries(4, "dev0"))
         hyper = ex.TrainHyper(max_epochs=3)
-        history = fu.train_fusion(system, subset, dev, ".", hyper, seed=18)
+        history = fu.train_fusion(system, subset, dev, hyper, seed=18)
         assert len(history) >= 1
         assert [ex.full_checksum(e) for e in system.experts] == before
         assert history[1]["loss"] < history[0]["loss"]
@@ -297,26 +297,25 @@ class TestTrainFusion:
 
     def test_expert_order_permutation_with_full_selection(self):
         bank = make_bank(n_specialists=3, seed=23)
-        subset = cp.Manifest(synth_entries(5, "T0"))
-        dev = synth_entries(3, "dev1")
         hyper = ex.TrainHyper(max_epochs=2)
 
         results = []
         for order in ([0, 1, 2], [2, 0, 1]):
             experts = [bank[0]] + [bank[1 + i] for i in order]
             system = fu.FusionSystem(experts, k=3, seed=24)
-            history = fu.train_fusion(system, subset, dev, ".", hyper, seed=25)
+            subset = feature_set(system, synth_entries(5, "T0"))
+            dev = feature_set(system, synth_entries(3, "dev1"))
+            history = fu.train_fusion(system, subset, dev, hyper, seed=25)
             results.append(history[-1]["dev_eer"])
         assert abs(results[0] - results[1]) < 1e-9
 
     def test_bank_mutation_is_hard_failure(self):
         system = fu.FusionSystem(make_bank(n_specialists=2), k=1, seed=26)
         system.experts[1].tensors["lora.b0"][0, 0] += 1.0
+        subset = feature_set(system, synth_entries(3, "T0"))
+        dev = feature_set(system, synth_entries(2, "dev2"))
         with pytest.raises(ex.FrozenContractError):
-            fu.train_fusion(
-                system, cp.Manifest(synth_entries(3, "T0")), synth_entries(2, "dev2"),
-                ".", ex.TrainHyper(max_epochs=1), seed=27,
-            )
+            fu.train_fusion(system, subset, dev, ex.TrainHyper(max_epochs=1), seed=27)
 
 
 class TestFusionCheckpoint:
@@ -345,7 +344,7 @@ class TestFusionCheckpoint:
         monkeypatch.undo()
         assert sorted(read) == ["ase.json", "e0.json", "fusion.json"]  # each file once
         clip = cp.synth_clip("spoof", 9, SYNTH)
-        assert fu.predict(loaded, clip) == fu.predict(system, clip)
+        assert score(loaded, clip) == score(system, clip)
 
     def test_binding_mismatch_detected(self, tmp_path):
         base = ex.new_expert(ENC, 34)

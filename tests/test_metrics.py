@@ -90,25 +90,6 @@ class TestComputeEer:
 
 
 class TestScoreCorpus:
-    def _manifest(self, tmp_path, n=6):
-        from amulet import corpus as cp
-
-        cfg = cp.SynthConfig(n_train=2, n_dev=2, n_eval=n)
-        return cp.build_corpus(cfg, tmp_path, seed=3), tmp_path
-
-    def test_counts_and_determinism(self, tmp_path):
-        manifest, root = self._manifest(tmp_path)
-
-        def score_fn(clip):
-            return float(np.mean(clip.samples**2))
-
-        first = mx.score_corpus(score_fn, manifest, root, system="energy")
-        second = mx.score_corpus(score_fn, manifest, root, system="energy")
-        assert len(first.bona_scores) == 6
-        assert len(first.spoof_scores) == 6
-        assert first.bona_scores == second.bona_scores
-        assert first.spoof_scores == second.spoof_scores
-
     def test_round_trip(self, tmp_path):
         scores = mx.ScoreSet([1.0, 2.0], [0.5], "T0", "demo")
         path = tmp_path / "scores.json"
@@ -141,14 +122,6 @@ class TestReport:
         with pytest.raises(mx.ReportError, match="missing cell"):
             mx.build_report(sets)
 
-    def test_na_marker_allows_gap(self):
-        report = mx.build_report(self._sets())
-        mx.mark_na(report, "alpha", "c1")
-        text = mx.render_report_text(report, "demo")
-        assert "NA" in text
-        csv_text = mx.report_to_csv(report)
-        assert ",NA," in csv_text
-
     def test_csv_round_trip_bit_exact_averages(self):
         report = mx.build_report(self._sets(), {"alpha": 123, "beta": 45, "gamma": 6})
         csv_text = mx.report_to_csv(report)
@@ -172,23 +145,16 @@ class TestParamRatio:
         from amulet.experts import EncoderConfig, count_trainable, lora_inject, new_expert
 
         cfg = EncoderConfig()
-        fft = new_expert(cfg, seed=0)
-        ase = lora_inject(new_expert(cfg, seed=0), rank=4, alpha=16.0, dropout_p=0.1, seed=1)
-        ratio = mx.param_ratio(ase, fft)
-        assert abs(ratio - 100.0 * 1920 / 18624) < 1e-9
+        fft = count_trainable(new_expert(cfg, seed=0))
+        ase = count_trainable(
+            lora_inject(new_expert(cfg, seed=0), rank=4, alpha=16.0, dropout_p=0.1, seed=1)
+        )
+        assert (ase["trainable"], fft["trainable"]) == (1920, 18624)
+        assert ase["total"] == fft["total"] == 18624
+        ratio = 100.0 * ase["trainable"] / fft["trainable"]
+        assert abs(ase["percent"] - ratio) < 1e-9
         assert abs(ratio - 10.31) < 0.01
-        assert mx.param_ratio(fft, fft) == 100.0
-        assert count_trainable(fft)["percent"] == 100.0
+        assert fft["percent"] == 100.0
 
     def test_paper_scale_arithmetic(self):
         assert round(100.0 * 3.59e6 / 318e6, 2) == 1.13
-
-    def test_zero_denominator(self):
-        from amulet.experts import EncoderConfig, new_expert
-
-        cfg = EncoderConfig()
-        frozen = new_expert(cfg, seed=0)
-        frozen.frozen = set(frozen.tensors)
-        live = new_expert(cfg, seed=0)
-        with pytest.raises(mx.ReportError):
-            mx.param_ratio(live, frozen)

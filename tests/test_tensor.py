@@ -178,6 +178,24 @@ class TestBackward:
         assert np.array_equal(frozen.grad, np.zeros((4, 2)))
         assert np.any(free.grad != 0)
 
+    def test_frozen_matmul_operand_gets_no_product(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        x = tc.leaf(rng.standard_normal((3, 4)), requires_grad=True)
+        w = tc.leaf(rng.standard_normal((4, 2)), requires_grad=False)
+        out = tc.sum_all(tc.matmul(x, w))
+        calls = []
+        real = tc.matmul_values
+
+        def counting(a, b):
+            calls.append((a.shape, b.shape))
+            return real(a, b)
+
+        monkeypatch.setattr(tc, "matmul_values", counting)
+        tc.backward(out)
+        assert calls == [((3, 2), (2, 4))]  # g @ W.T only; no x.T @ g for the frozen W
+        assert np.array_equal(x.grad, real(np.ones((3, 2)), w.value.T))
+        assert np.array_equal(w.grad, np.zeros((4, 2)))
+
     def test_scalar_root_required(self):
         node = tc.leaf(np.zeros((2, 2)), requires_grad=True)
         with pytest.raises(tc.ShapeError):
