@@ -212,6 +212,7 @@ class Pipeline:
     def train_ase(self, only_condition: str | None = None) -> None:
         roster = self._roster_items(only_condition)
         base_path = self.load_expert("e0")
+        loaded = {}  # E0, parsed and verified by the first stage that runs
         for expert_id, condition in roster:
             manifest = self.load_manifest(condition)
             stage = f"train-ase-{condition}"
@@ -223,9 +224,10 @@ class Pipeline:
             ]
 
             def fn(condition=condition, manifest=manifest):
-                base, _ = ex.load_expert_checkpoint(base_path)
+                if not loaded:
+                    loaded["base"], _ = ex.load_expert_checkpoint(base_path)
                 model, _ = ex.train_ase(
-                    base,
+                    loaded["base"],
                     condition,
                     manifest.split("train"),
                     manifest.split("dev"),

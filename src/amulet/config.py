@@ -23,6 +23,10 @@ from .experts import (
 
 SEED_NAMES = ("data", "training", "fusion")
 
+# The JSON type each config group must have, by the type of its default;
+# `subset_fraction` takes any number and is range-checked on its own.
+JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "true or false"}
+
 # Conditions whose training-split attack differs from the evaluation attack
 # (evaluation adds unseen noise colors / an unseen cutoff).
 TRAIN_PRESET_OVERRIDES = {"T4": "T4_train", "T5": "T5_train"}
@@ -85,6 +89,15 @@ class ExperimentConfig:
         return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: Python's bool is an int, JSON's true/false is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 def resolve_config(raw: dict) -> tuple:
     """Fill defaults, check every cross-reference; returns (config, errors)."""
     errors = []
@@ -93,11 +106,16 @@ def resolve_config(raw: dict) -> tuple:
     if unknown:
         errors.append(f"unknown config keys: {', '.join(unknown)}")
     merged = {**defaults, **{k: v for k, v in raw.items() if k in defaults}}
+    for key, default in defaults.items():
+        kind = type(default)
+        if kind in JSON_TYPES and not isinstance(merged[key], kind):
+            errors.append(f"{key} must be {JSON_TYPES[kind]}, got {merged[key]!r}")
+            merged[key] = default
 
     seeds = dict(defaults["seeds"])
-    seeds.update(merged["seeds"] if isinstance(merged["seeds"], dict) else {})
+    seeds.update(merged["seeds"])
     for name in SEED_NAMES:
-        if name not in seeds or not isinstance(seeds[name], int):
+        if name not in seeds or not _is_int(seeds[name]):
             errors.append(f"seeds.{name} must be an integer (every stochastic stage needs a seed)")
 
     try:
@@ -129,10 +147,12 @@ def resolve_config(raw: dict) -> tuple:
                 errors.append(f"{group}: unknown attack preset {name!r}")
 
     lora = {**defaults["lora"], **merged["lora"]}
-    if not isinstance(lora.get("rank"), int) or lora["rank"] < 1:
+    if not _is_int(lora.get("rank")) or lora["rank"] < 1:
         errors.append("lora.rank must be an integer >= 1")
-    if not 0.0 <= float(lora["dropout"]) < 1.0:
-        errors.append("lora.dropout must be in [0, 1)")
+    if not _is_number(lora.get("dropout")) or not 0.0 <= lora["dropout"] < 1.0:
+        errors.append("lora.dropout must be a number in [0, 1)")
+    if not _is_number(lora.get("alpha")):
+        errors.append("lora.alpha must be a number")
     if lora.get("scale_mode") not in (SCALE_ALPHA_OVER_R, SCALE_ALPHA_LITERAL):
         errors.append(f"lora.scale_mode must be {SCALE_ALPHA_OVER_R!r} or {SCALE_ALPHA_LITERAL!r}")
 
@@ -146,19 +166,21 @@ def resolve_config(raw: dict) -> tuple:
     expert_train = hyper("expert_train")
     fusion_train = hyper("fusion_train")
     for key, h in (("expert_train", expert_train), ("fusion_train", fusion_train)):
-        if h.lr <= 0 or h.batch_size < 1 or h.max_epochs < 1:
+        if not all(_is_number(v) for v in asdict(h).values()):
+            errors.append(f"{key}: every field must be a number")
+        elif h.lr <= 0 or h.batch_size < 1 or h.max_epochs < 1:
             errors.append(f"{key}: lr, batch_size, and max_epochs must be positive")
 
     k_values = list(merged["k_values"])
     n_experts = len(roster)
     for k in k_values:
-        if not isinstance(k, int) or k < 1:
+        if not _is_int(k) or k < 1:
             errors.append(f"k_values: {k!r} is not a positive integer")
         elif k > n_experts:
             errors.append(f"k={k} exceeds expert count ({n_experts})")
 
     fraction = merged["subset_fraction"]
-    if not isinstance(fraction, (int, float)) or not 0.0 < float(fraction) <= 1.0:
+    if not _is_number(fraction) or not 0.0 < float(fraction) <= 1.0:
         errors.append("subset_fraction must be in (0, 1]")
 
     config = ExperimentConfig(
@@ -173,9 +195,9 @@ def resolve_config(raw: dict) -> tuple:
         expert_train=expert_train,
         fusion_train=fusion_train,
         k_values=k_values,
-        subset_fraction=(float(fraction) if isinstance(fraction, (int, float))
+        subset_fraction=(float(fraction) if _is_number(fraction)
                          else defaults["subset_fraction"]),
-        renormalize=bool(merged["renormalize"]),
+        renormalize=merged["renormalize"],
     )
     return config, errors
 
@@ -194,6 +216,8 @@ def validate_config(source) -> ExperimentConfig:
             raw = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError([f"config file {path} is not valid JSON: {exc}"]) from exc
+        if not isinstance(raw, dict):
+            raise ConfigError([f"config file {path} must hold a JSON object"])
     config, errors = resolve_config(raw)
     if errors:
         raise ConfigError(errors)

@@ -260,9 +260,9 @@ def _dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
 def encoder_forward(model: ExpertModel, feats: np.ndarray, layer0=None) -> np.ndarray:
     """Plain (inference) forward; adapters use the two-path form, no dropout.
 
-    `layer0` optionally holds this model's layer-0 products precomputed as
-    `bank_forward` shares them: (x@W0, x@A0), with None for x@A0 when the
-    model has no adapters.
+    `layer0` optionally holds this model's layer-0 products precomputed:
+    (x@W0, x@A0) as `bank_forward` shares them, or (x@W0, None), in which
+    case x@A0 is taken here when the model has adapters.
     """
     h = feats
     for i in range(model.n_layers):
@@ -271,7 +271,9 @@ def encoder_forward(model: ExpertModel, feats: np.ndarray, layer0=None) -> np.nd
             base, xa = layer0
         else:
             base = tc.matmul_values(h, model.tensors[f"enc.w{i}"])
-            xa = tc.matmul_values(h, adapter.a) if adapter is not None else None
+            xa = None
+        if adapter is not None and xa is None:
+            xa = tc.matmul_values(h, adapter.a)
         pre = base + model.tensors[f"enc.b{i}"]
         if adapter is not None:
             pre = pre + tc.matmul_values(xa, adapter.b) * adapter.scale
@@ -347,8 +349,8 @@ def head_logits(model: ExpertModel, z: np.ndarray) -> np.ndarray:
     return tc.matmul_values(pooled, model.tensors["head.w"]) + model.tensors["head.b"]
 
 
-def expert_logits(model: ExpertModel, feats: np.ndarray) -> np.ndarray:
-    return head_logits(model, encoder_forward(model, feats))
+def expert_logits(model: ExpertModel, feats: np.ndarray, layer0=None) -> np.ndarray:
+    return head_logits(model, encoder_forward(model, feats, layer0))
 
 
 def make_leaves(model) -> dict:
@@ -360,10 +362,19 @@ def make_leaves(model) -> dict:
     }
 
 
-def encoder_forward_nodes(model, leaves, feats, dropout_rng=None) -> tc.Node:
+def encoder_forward_nodes(model, leaves, feats, dropout_rng=None, layer0=None) -> tc.Node:
+    """Graph forward. `layer0` is a precomputed pair as `encoder_forward`
+    takes it. Its x@W0 stands in for the base product only while the `enc.w0`
+    leaf needs no gradient, so a graph in which `enc.w0` trains always takes
+    the product. The adapter path x@A0 always stays in the graph."""
     h = tc.constant(feats)
     for i in range(model.n_layers):
-        pre = tc.add(tc.matmul(h, leaves[f"enc.w{i}"]), leaves[f"enc.b{i}"])
+        w = leaves[f"enc.w{i}"]
+        if i == 0 and layer0 is not None and not w.needs_grad:
+            base = tc.constant(layer0[0])
+        else:
+            base = tc.matmul(h, w)
+        pre = tc.add(base, leaves[f"enc.b{i}"])
         if model.has_adapters:
             meta = model.lora_meta
             x_in = h
@@ -377,8 +388,8 @@ def encoder_forward_nodes(model, leaves, feats, dropout_rng=None) -> tc.Node:
     return h
 
 
-def loss_nodes(model, leaves, feats, label: str, dropout_rng=None) -> tc.Node:
-    z = encoder_forward_nodes(model, leaves, feats, dropout_rng)
+def loss_nodes(model, leaves, feats, label: str, dropout_rng=None, layer0=None) -> tc.Node:
+    z = encoder_forward_nodes(model, leaves, feats, dropout_rng, layer0)
     mag = tc.pair_magnitude(z, PAIR_EPS)
     contrast = tc.log_shift(tc.std_rows(mag), POOL_LOG_EPS)
     motion = tc.log_shift(tc.mean_rows(tc.absval(tc.diff_rows(mag))), POOL_LOG_EPS)
@@ -528,19 +539,27 @@ def train_expert(
 ) -> tuple:
     """`fit` on the clips of two manifest splits. Returns (best model by dev
     EER, per-epoch history). Frozen tensors are checksum-verified; any drift
-    is a hard failure."""
+    is a hard failure.
+
+    With `enc.w0` frozen, each clip's x@W0 is taken once per call and reused
+    by every epoch's loss graphs and dev forwards."""
     work = model.copy()
     contract = frozen_checksum(work)
+    w0 = work.tensors["enc.w0"] if "enc.w0" in work.frozen else None
 
-    def load_feats(entries):
-        return ([frame_features(resolve_clip(e, root), work.cfg) for e in entries],
-                [e.label for e in entries])
+    def load_clips(entries):
+        clips = []
+        for entry in entries:
+            feats = frame_features(resolve_clip(entry, root), work.cfg)
+            layer0 = None if w0 is None else (tc.matmul_values(feats, w0), None)
+            clips.append((feats, layer0))
+        return clips, [e.label for e in entries]
 
-    train_set, dev_set = load_feats(train_entries), load_feats(dev_entries)
+    train_set, dev_set = load_clips(train_entries), load_clips(dev_entries)
     tensors, history = fit(
         work, *train_set,
-        lambda leaves, feats, label, rng: loss_nodes(work, leaves, feats, label, rng),
-        lambda: dev_eer(lambda feats: expert_logits(work, feats), *dev_set),
+        lambda leaves, clip, label, rng: loss_nodes(work, leaves, clip[0], label, rng, clip[1]),
+        lambda: dev_eer(lambda clip: expert_logits(work, *clip), *dev_set),
         hyper, seed, log,
     )
     best = ExpertModel(work.cfg, tensors, work.frozen, work.lora_meta)

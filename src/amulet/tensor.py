@@ -8,8 +8,17 @@ row-wise vector ops and no dtype other than float64.
 
 Matrix products accumulate over the inner index in increasing order, so the
 result is bitwise identical to a naive triple loop. `np.einsum` happens to
-honour that order for outputs with two or more columns (verified exhaustively
-in the test suite); single-column outputs fall back to an explicit loop.
+honour that order for outputs with two or more columns and contiguous
+operands (verified exhaustively in the test suite). A single-column product
+with two or more rows is taken as `(b.T @ a.T).T` on contiguous copies of the
+transposes: that product has one row and two or more columns, so each element
+still sums the inner index in increasing order, and a product and its
+transpose hold the same element sums. Only a 1xK @ Kx1 product, a pure
+reduction, falls back to an explicit loop.
+
+A node allocates its gradient buffer when the first gradient reaches it, so
+constants, frozen leaves and every node off the gradient's path hold none;
+their `.grad` reads zeros.
 """
 from __future__ import annotations
 
@@ -52,8 +61,14 @@ def matmul_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError("matmul operands must be 2-D")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"inner dimensions disagree: {a.shape} x {b.shape}")
+    if b.shape[1] == 1 and a.shape[0] > 1:
+        # einsum reorders the reduction when the output has a single column,
+        # and orders its loops by operand strides, so the transposed product
+        # runs on contiguous copies
+        bt = np.ascontiguousarray(b.T)
+        at = np.ascontiguousarray(a.T)
+        return np.einsum("ik,kj->ij", bt, at).T
     if b.shape[1] == 1:
-        # einsum reorders the reduction when the output has a single column
         out = np.zeros((a.shape[0], 1))
         scratch = np.empty_like(out)
         for k in range(a.shape[1]):
@@ -93,7 +108,7 @@ def cross_entropy_values(logits: np.ndarray, label: int) -> float:
 class Node:
     """One vertex of the define-by-run graph. Values are immutable once set."""
 
-    __slots__ = ("value", "grad", "parents", "op", "requires_grad", "needs_grad", "_push")
+    __slots__ = ("value", "_grad", "parents", "op", "requires_grad", "needs_grad", "_push")
 
     def __init__(self, value, parents=(), op="leaf", requires_grad=False, push=None):
         value = np.asarray(value, dtype=np.float64)
@@ -102,12 +117,17 @@ class Node:
         if not np.isfinite(value).all():
             raise NonFiniteError(f"non-finite values produced by op '{op}'")
         self.value = value
-        self.grad = np.zeros_like(value)
+        self._grad = None
         self.parents = tuple(parents)
         self.op = op
         self.requires_grad = requires_grad
         self.needs_grad = requires_grad or any(p.needs_grad for p in self.parents)
         self._push = push
+
+    @property
+    def grad(self) -> np.ndarray:
+        """Accumulated gradient; zeros where none has arrived."""
+        return self._grad if self._grad is not None else np.zeros_like(self.value)
 
     @property
     def shape(self):
@@ -126,8 +146,17 @@ def constant(value) -> Node:
 
 
 def _acc(node: Node, g: np.ndarray) -> None:
-    if node.needs_grad:
-        node.grad += g
+    """Add `g` to the node's gradient. The first arrival allocates the buffer,
+    laid out as `zeros_like(value)`, and fills it with `g + 0.0`: bitwise
+    `zeros + g`, sign of zero included, and never an alias of `g`.
+
+    A push runs only for a node that needs a gradient, so a one-parent push
+    calls this unguarded; a push with several parents computes a parent's
+    term only when that parent needs a gradient."""
+    if node._grad is None:
+        node._grad = np.add(g, 0.0, out=np.empty_like(node.value))
+    else:
+        node._grad += g
 
 
 def matmul(a: Node, b: Node) -> Node:
@@ -135,9 +164,9 @@ def matmul(a: Node, b: Node) -> Node:
 
     def push(g):
         if a.needs_grad:
-            a.grad += matmul_values(g, b.value.T)
+            _acc(a, matmul_values(g, b.value.T))
         if b.needs_grad:
-            b.grad += matmul_values(a.value.T, g)
+            _acc(b, matmul_values(a.value.T, g))
 
     return Node(value, (a, b), "matmul", push=push)
 
@@ -152,8 +181,10 @@ def add(a: Node, b: Node) -> Node:
     value = a.value + b.value
 
     def push(g):
-        _acc(a, g)
-        _acc(b, g.sum(axis=0, keepdims=True) if broadcast else g)
+        if a.needs_grad:
+            _acc(a, g)
+        if b.needs_grad:
+            _acc(b, g.sum(axis=0, keepdims=True) if broadcast else g)
 
     return Node(value, (a, b), "add", push=push)
 
@@ -164,8 +195,10 @@ def mul(a: Node, b: Node) -> Node:
     value = a.value * b.value
 
     def push(g):
-        _acc(a, g * b.value)
-        _acc(b, g * a.value)
+        if a.needs_grad:
+            _acc(a, g * b.value)
+        if b.needs_grad:
+            _acc(b, g * a.value)
 
     return Node(value, (a, b), "mul", push=push)
 
@@ -188,8 +221,10 @@ def smul(a: Node, s: Node) -> Node:
     value = a.value * sv
 
     def push(g):
-        _acc(a, g * sv)
-        _acc(s, np.array([[float((g * a.value).sum())]]))
+        if a.needs_grad:
+            _acc(a, g * sv)
+        if s.needs_grad:
+            _acc(s, np.array([[float((g * a.value).sum())]]))
 
     return Node(value, (a, s), "smul", push=push)
 
@@ -262,11 +297,10 @@ def pair_magnitude(a: Node, eps: float = 1e-12) -> Node:
     value = np.sqrt(even * even + odd * odd + eps)
 
     def push(g):
-        if a.needs_grad:
-            full = np.empty_like(a.value)
-            full[:, 0::2] = g * even / value
-            full[:, 1::2] = g * odd / value
-            a.grad += full
+        full = np.empty_like(a.value)
+        full[:, 0::2] = g * even / value
+        full[:, 1::2] = g * odd / value
+        _acc(a, full)
 
     return Node(value, (a,), "pair_magnitude", push=push)
 
@@ -278,11 +312,10 @@ def diff_rows(a: Node) -> Node:
     value = a.value[1:] - a.value[:-1]
 
     def push(g):
-        if a.needs_grad:
-            full = np.zeros_like(a.value)
-            full[1:] += g
-            full[:-1] -= g
-            a.grad += full
+        full = np.zeros_like(a.value)
+        full[1:] += g
+        full[:-1] -= g
+        _acc(a, full)
 
     return Node(value, (a,), "diff_rows", push=push)
 
@@ -305,8 +338,10 @@ def hconcat(a: Node, b: Node) -> Node:
     split = a.value.shape[1]
 
     def push(g):
-        _acc(a, g[:, :split])
-        _acc(b, g[:, split:])
+        if a.needs_grad:
+            _acc(a, g[:, :split])
+        if b.needs_grad:
+            _acc(b, g[:, split:])
 
     return Node(value, (a, b), "hconcat", push=push)
 
@@ -344,10 +379,9 @@ def pick(a: Node, j: int) -> Node:
     value = a.value[:, j : j + 1].copy()
 
     def push(g):
-        if a.needs_grad:
-            full = np.zeros_like(a.value)
-            full[0, j] = g[0, 0]
-            a.grad += full
+        full = np.zeros_like(a.value)
+        full[0, j] = g[0, 0]
+        _acc(a, full)
 
     return Node(value, (a,), "pick", push=push)
 
@@ -368,13 +402,15 @@ def layer_norm(x: Node, gain: Node, bias: Node, eps: float = 1e-5) -> Node:
     value, xhat, inv_std = layer_norm_values(x.value, gain.value, bias.value, eps)
 
     def push(g):
-        _acc(gain, (g * xhat).sum(axis=0, keepdims=True))
-        _acc(bias, g.sum(axis=0, keepdims=True))
+        if gain.needs_grad:
+            _acc(gain, (g * xhat).sum(axis=0, keepdims=True))
+        if bias.needs_grad:
+            _acc(bias, g.sum(axis=0, keepdims=True))
         if x.needs_grad:
             dxhat = g * gain.value
             m1 = dxhat.mean(axis=1, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-            x.grad += inv_std * (dxhat - m1 - xhat * m2)
+            _acc(x, inv_std * (dxhat - m1 - xhat * m2))
 
     return Node(value, (x, gain, bias), "layer_norm", push=push)
 
@@ -390,10 +426,9 @@ def cross_entropy(logits: Node, label: int) -> Node:
     value = np.array([[cross_entropy_values(logits.value, label)]])
 
     def push(g):
-        if logits.needs_grad:
-            delta = probs.copy()
-            delta[0, label] -= 1.0
-            logits.grad += delta * g[0, 0]
+        delta = probs.copy()
+        delta[0, label] -= 1.0
+        _acc(logits, delta * g[0, 0])
 
     return Node(value, (logits,), "cross_entropy", push=push)
 
@@ -431,7 +466,7 @@ def backward(root: Node) -> None:
     if root.value.shape != (1, 1):
         raise ShapeError(f"backward root must be a 1x1 scalar, got {root.value.shape}")
     order = topo_order(root)
-    root.grad = root.grad + 1.0
+    _acc(root, np.ones((1, 1)))
     for node in reversed(order):
         if node._push is not None and node.needs_grad:
             node._push(node.grad)

@@ -1,8 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
-The directional-trend and reproducibility criteria (7 and 8) run the full
-default experiment end to end, so this module is the slow part of the suite;
-run with `-s` to watch the per-criterion lines as they complete.
+Criteria C1-C6 run on small inputs, in seconds; run with `-s` to watch the
+per-criterion lines. Reproducibility of a whole run, with one and with two
+workers, is checked by the micro end-to-end test in `test_cli.py`.
 """
 import json
 import time

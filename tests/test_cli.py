@@ -91,6 +91,21 @@ class TestValidateConfig:
         assert "exceeds expert count" in err
         assert "subset_fraction" in err
 
+    @pytest.mark.parametrize("raw, message", [
+        ({"seeds": 5}, "seeds must be an object"),
+        ({"lora": 5}, "lora must be an object"),
+        ({"roster": 5}, "roster must be an object"),
+        ({"k_values": 5}, "k_values must be a list"),
+        ({"lora": {"dropout": "x"}}, "lora.dropout must be a number"),
+        ({"renormalize": "no"}, "renormalize must be true or false"),
+        ({"lora": {"rank": True}}, "lora.rank must be an integer"),
+        ({"subset_fraction": True}, "subset_fraction must be in (0, 1]"),
+    ])
+    def test_wrong_json_type_is_config_error(self, tmp_path, capsys, raw, message):
+        path = write_config(tmp_path, raw)
+        assert cli.main(["--config", path, "validate-config"]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert cli.main(["--config", "/nonexistent.json", "validate-config"]) == 1
 
@@ -188,6 +203,25 @@ class TestBankLoading:
             assert cli.main(["--config", trained_bank[0], "--out", str(out), stage]) == 0
             assert dict(parsed) == once, stage
 
+    def test_e0_parsed_once_per_train_ase_call(self, trained_bank, tmp_path, monkeypatch):
+        parsed = Counter()
+        original = ex._read_payload
+
+        def counting(path, expected_format):
+            parsed[Path(path).name] += 1
+            return original(path, expected_format)
+
+        monkeypatch.setattr(ex, "_read_payload", counting)
+        out = copy_root(trained_bank, tmp_path)
+        for condition in ("T1", "T2"):
+            (out / "state" / f"train-ase-{condition}.json").unlink()
+        args = ["--config", trained_bank[0], "--out", str(out), "train-ase"]
+        assert cli.main(args) == 0  # two stages run
+        assert parsed["e0.json"] == 1
+        parsed.clear()
+        assert cli.main(args) == 0  # every stage skips
+        assert parsed["e0.json"] == 0
+
     def test_rewritten_adapter_breaks_fusion_binding(self, trained_bank, tmp_path, capsys):
         ckpts = copy_root(trained_bank, tmp_path) / "checkpoints"
         base, _ = ex.load_expert_checkpoint(ckpts / "e0.json")
@@ -234,6 +268,11 @@ class TestReproduce:
         assert "skipped" in second_out
         assert "[train-shared] running" not in second_out
         assert (reports / "checksums.json").read_bytes() == checks_before
+
+        # the same experiment in a fresh root with two workers: byte-identical
+        jobs2 = tmp_path / "jobs2"
+        assert cli.main(["--config", path, "--out", str(jobs2), "--jobs", "2", "reproduce"]) == 0
+        assert (jobs2 / "reports" / "checksums.json").read_bytes() == checks_before
 
     def test_corrupted_checkpoint_is_invariant_violation(self, tmp_path, capsys):
         out = tmp_path / "out"

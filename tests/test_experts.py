@@ -182,6 +182,34 @@ class TestForwardGradients:
         for name in trainable:
             assert relative_error(leaves[name].grad, fd[name]) < 1e-4, name
 
+    def test_cached_layer0_graph_is_bitwise_the_product_graph(self):
+        model = ex.lora_inject(ex.new_expert(ENC, 3), 4, 16.0, 0.1, seed=4)
+        rng = np.random.default_rng(5)
+        for name in ("lora.b0", "lora.b1", "lora.b2", "head.w"):
+            model.tensors[name] = rng.normal(0, 0.1, model.tensors[name].shape)
+        feats = ex.frame_features(random_clip(6, seconds=1.0), ENC)
+        layer0 = (tc.matmul_values(feats, model.tensors["enc.w0"]), None)
+
+        def loss_and_leaves(cached, leaked=False):
+            leaves = ex.make_leaves(model)
+            if leaked:
+                leaves["enc.w0"] = tc.Node(model.tensors["enc.w0"], requires_grad=True)
+            drop_rng = np.random.Generator(np.random.Philox(7))
+            loss = ex.loss_nodes(model, leaves, feats, "spoof", drop_rng,
+                                 layer0 if cached else None)
+            tc.backward(loss)
+            return loss, leaves
+
+        for leaked in (False, True):
+            graph_loss, graph = loss_and_leaves(False, leaked)
+            cached_loss, cached = loss_and_leaves(True, leaked)
+            assert np.array_equal(cached_loss.value, graph_loss.value)
+            for name, node in graph.items():
+                if node.requires_grad:
+                    assert np.array_equal(cached[name].grad, node.grad), (leaked, name)
+        # a leaked gradient on enc.w0 still reaches the graph
+        assert np.any(cached["enc.w0"].grad != 0)
+
     def test_zero_features_zero_bias_gives_zero_output(self):
         model = ex.new_expert(ENC, 2)
         for i in range(model.n_layers):

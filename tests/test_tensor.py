@@ -45,7 +45,9 @@ class TestMatmul:
 
     def test_training_shapes_bitwise(self):
         rng = np.random.default_rng(12)
-        for p, q, s in [(200, 160, 64), (160, 200, 64), (64, 200, 160), (200, 64, 1), (1, 64, 5)]:
+        shapes = [(200, 160, 64), (160, 200, 64), (64, 200, 160), (200, 64, 1), (1, 64, 5),
+                  (100, 64, 1), (64, 200, 1)]
+        for p, q, s in shapes:
             a = rng.standard_normal((p, q))
             b = rng.standard_normal((q, s))
             assert np.array_equal(tc.matmul_values(a, b), matmul_triple_loop(a, b))
@@ -195,6 +197,25 @@ class TestBackward:
         assert calls == [((3, 2), (2, 4))]  # g @ W.T only; no x.T @ g for the frozen W
         assert np.array_equal(x.grad, real(np.ones((3, 2)), w.value.T))
         assert np.array_equal(w.grad, np.zeros((4, 2)))
+
+    def test_gradient_buffers_only_where_gradients_land(self):
+        rng = np.random.default_rng(6)
+        x = tc.constant(rng.standard_normal((3, 4)))
+        frozen = tc.leaf(rng.standard_normal((4, 2)), requires_grad=False)
+        w = tc.leaf(rng.standard_normal((1, 1)), requires_grad=True)
+        # both parents of each add receive the same incoming array, and p's
+        # buffer takes a second gradient after q's was filled
+        p, q = tc.scale(w, 3.0), tc.scale(w, 5.0)
+        out = tc.add(tc.sum_all(tc.matmul(x, frozen)), tc.add(tc.add(p, q), p))
+        tc.backward(out)
+        for node in (x, frozen):
+            assert node._grad is None
+            assert np.array_equal(node.grad, np.zeros(node.shape))
+        assert np.array_equal(w.grad, [[11.0]])  # 3 + 5 + 3
+
+        v = tc.leaf(np.ones((1, 1)), requires_grad=True)
+        tc.backward(tc.scale(v, -0.0))
+        assert not np.signbit(v.grad).any()  # zeros + (-0.0) is +0.0
 
     def test_scalar_root_required(self):
         node = tc.leaf(np.zeros((2, 2)), requires_grad=True)
