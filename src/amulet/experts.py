@@ -362,40 +362,57 @@ def make_leaves(model) -> dict:
     }
 
 
-def encoder_forward_nodes(model, leaves, feats, dropout_rng=None, layer0=None) -> tc.Node:
-    """Graph forward. `layer0` is a precomputed pair as `encoder_forward`
-    takes it. Its x@W0 stands in for the base product only while the `enc.w0`
-    leaf needs no gradient, so a graph in which `enc.w0` trains always takes
-    the product. The adapter path x@A0 always stays in the graph."""
-    h = tc.constant(feats)
+def encoder_forward_nodes(model, leaves, feats, dropout_rngs=None, layer0=None) -> tc.Node:
+    """Graph forward of a batch: `feats` lists the clips' frame matrices, and
+    the output stacks their rows in that order.
+
+    `dropout_rngs` holds one generator per clip; each draws its clip's masks
+    layer by layer. `layer0` optionally lists each clip's precomputed x@W0,
+    which stands in for the base product only while the `enc.w0` leaf needs
+    no gradient, so a graph in which `enc.w0` trains always takes the
+    product. The adapter path x@A0 always stays in the graph."""
+    frames = tc.row_segments(f.shape[0] for f in feats)
+    h = tc.constant(np.concatenate(feats))
     for i in range(model.n_layers):
         w = leaves[f"enc.w{i}"]
         if i == 0 and layer0 is not None and not w.needs_grad:
-            base = tc.constant(layer0[0])
+            base = tc.constant(np.concatenate(layer0))
         else:
-            base = tc.matmul(h, w)
-        pre = tc.add(base, leaves[f"enc.b{i}"])
+            base = tc.matmul(h, w, frames)
+        pre = tc.add(base, leaves[f"enc.b{i}"], frames)
         if model.has_adapters:
             meta = model.lora_meta
             x_in = h
-            if dropout_rng is not None and meta["dropout_p"] > 0.0:
-                mask = _dropout_mask(h.value.shape, meta["dropout_p"], dropout_rng)
+            if dropout_rngs is not None and meta["dropout_p"] > 0.0:
+                mask = np.concatenate([
+                    _dropout_mask((seg.stop - seg.start, h.shape[1]), meta["dropout_p"], rng)
+                    for seg, rng in zip(frames, dropout_rngs)
+                ])
                 x_in = tc.mul(h, tc.constant(mask))
-            delta = tc.matmul(tc.matmul(x_in, leaves[f"lora.a{i}"]), leaves[f"lora.b{i}"])
+            xa = tc.matmul(x_in, leaves[f"lora.a{i}"], frames)
+            delta = tc.matmul(xa, leaves[f"lora.b{i}"], frames)
             scale = meta["alpha"] / meta["rank"] if meta["scale_mode"] == SCALE_ALPHA_OVER_R else meta["alpha"]
             pre = tc.add(pre, tc.scale(delta, scale))
         h = tc.tanh(pre)
     return h
 
 
-def loss_nodes(model, leaves, feats, label: str, dropout_rng=None, layer0=None) -> tc.Node:
-    z = encoder_forward_nodes(model, leaves, feats, dropout_rng, layer0)
+def loss_nodes(model, leaves, feats, labels, dropout_rngs=None, layer0=None) -> tc.Node:
+    """Mean cross-entropy of a batch of clips as one graph (arguments as for
+    `encoder_forward_nodes`, plus one label per clip). Pooling reduces over
+    each clip's own frames, and every shared tensor's gradient is summed
+    clip by clip, so the loss and gradients are bitwise those of the mean of
+    one graph per clip."""
+    frames = tc.row_segments(f.shape[0] for f in feats)
+    rows = tc.row_segments([1] * len(feats))
+    z = encoder_forward_nodes(model, leaves, feats, dropout_rngs, layer0)
     mag = tc.pair_magnitude(z, PAIR_EPS)
-    contrast = tc.log_shift(tc.std_rows(mag), POOL_LOG_EPS)
-    motion = tc.log_shift(tc.mean_rows(tc.absval(tc.diff_rows(mag))), POOL_LOG_EPS)
+    contrast = tc.log_shift(tc.std_rows(mag, segments=frames), POOL_LOG_EPS)
+    steps = tc.row_segments(f.shape[0] - 1 for f in feats)
+    motion = tc.log_shift(tc.mean_rows(tc.absval(tc.diff_rows(mag, frames)), steps), POOL_LOG_EPS)
     pooled = tc.scale(tc.hconcat(contrast, motion), POOL_LOG_GAIN)
-    logits = tc.add(tc.matmul(pooled, leaves["head.w"]), leaves["head.b"])
-    return tc.cross_entropy(logits, LABEL_INDEX[label])
+    logits = tc.add(tc.matmul(pooled, leaves["head.w"], rows), leaves["head.b"], rows)
+    return tc.cross_entropy(logits, [LABEL_INDEX[label] for label in labels])
 
 
 def lora_inject(
@@ -464,16 +481,17 @@ def dev_eer(clip_logits, dev_feats, dev_labels) -> float:
     return compute_eer(ScoreSet(bona, spoof)).eer
 
 
-def fit(model, train_feats, train_labels, clip_loss, epoch_eer, hyper: TrainHyper,
+def fit(model, train_feats, train_labels, batch_loss, epoch_eer, hyper: TrainHyper,
         seed: int, log=None) -> tuple:
     """Minibatch gradient descent with dev-EER plateau halving and early stop.
 
     `model` is a named-tensor store: its `tensors` not in `frozen` train, and
-    are updated in place. `clip_loss(leaves, feats, label, dropout_rng)` builds
-    one clip's loss graph, with a generator seeded per epoch and clip for any
-    dropout; `epoch_eer()` scores the current tensors on the dev set after
-    every epoch. Returns (copy of the tensors at the first lowest dev EER,
-    per-epoch history).
+    are updated in place. `batch_loss(leaves, feats, labels, dropout_rngs)`
+    builds one graph of a minibatch's mean loss from its clips' features and
+    labels in batch order, with one generator per clip, seeded per epoch and
+    clip, for any dropout; `epoch_eer()` scores the current tensors on the
+    dev set after every epoch. Returns (copy of the tensors at the first
+    lowest dev EER, per-epoch history).
     """
     lr = hyper.lr
     best = {name: value.copy() for name, value in model.tensors.items()}
@@ -487,18 +505,16 @@ def fit(model, train_feats, train_labels, clip_loss, epoch_eer, hyper: TrainHype
         order = shuffle_rng.permutation(len(train_feats))
         epoch_loss = 0.0
         for start in range(0, len(order), hyper.batch_size):
-            batch = order[start : start + hyper.batch_size]
+            batch = [int(idx) for idx in order[start : start + hyper.batch_size]]
             leaves = make_leaves(model)
-            total = None
-            for idx in batch:
-                drop_rng = np.random.Generator(
-                    np.random.Philox(stable_seed(seed, "dropout", epoch, int(idx)))
-                )
-                loss = clip_loss(leaves, train_feats[idx], train_labels[idx], drop_rng)
-                total = loss if total is None else tc.add(total, loss)
+            drop_rngs = [
+                np.random.Generator(np.random.Philox(stable_seed(seed, "dropout", epoch, idx)))
+                for idx in batch
+            ]
             try:
-                batch_loss = tc.scale(total, 1.0 / len(batch))
-                tc.backward(batch_loss)
+                loss = batch_loss(leaves, [train_feats[idx] for idx in batch],
+                                  [train_labels[idx] for idx in batch], drop_rngs)
+                tc.backward(loss)
             except tc.NonFiniteError as exc:
                 raise tc.NonFiniteError(
                     f"non-finite loss at epoch {epoch} batch {start // hyper.batch_size}: {exc}"
@@ -506,7 +522,7 @@ def fit(model, train_feats, train_labels, clip_loss, epoch_eer, hyper: TrainHype
             for name, node in leaves.items():
                 if node.requires_grad:
                     model.tensors[name] = model.tensors[name] - lr * node.grad
-            epoch_loss += float(batch_loss.value[0, 0]) * len(batch)
+            epoch_loss += float(loss.value[0, 0]) * len(batch)
         epoch_loss /= len(train_feats)
         eer = epoch_eer()
         history.append({"epoch": epoch, "loss": epoch_loss, "dev_eer": eer, "lr": lr})
@@ -555,10 +571,13 @@ def train_expert(
             clips.append((feats, layer0))
         return clips, [e.label for e in entries]
 
+    def batch_loss(leaves, clips, labels, rngs):
+        layer0 = None if w0 is None else [clip[1][0] for clip in clips]
+        return loss_nodes(work, leaves, [clip[0] for clip in clips], labels, rngs, layer0)
+
     train_set, dev_set = load_clips(train_entries), load_clips(dev_entries)
     tensors, history = fit(
-        work, *train_set,
-        lambda leaves, clip, label, rng: loss_nodes(work, leaves, clip[0], label, rng, clip[1]),
+        work, *train_set, batch_loss,
         lambda: dev_eer(lambda clip: expert_logits(work, *clip), *dev_set),
         hyper, seed, log,
     )
@@ -609,17 +628,27 @@ def _tensor_payload(tensors: dict, names) -> dict:
     }
 
 
+def _canonical_json(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def _payload_checksum(payload: dict) -> str:
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
 
 
 def _write_payload(payload: dict, path) -> str:
-    payload = dict(payload)
-    payload["checksum"] = _payload_checksum({k: v for k, v in payload.items() if k != "checksum"})
+    """Write `payload` plus its content checksum as canonical JSON; returns
+    the checksum. Each top-level value is serialized once: the canonical text
+    of an object is its sorted `"key":value` members joined by commas, so the
+    checksummed text and the file text share the members' texts."""
+    members = {key: f"{json.dumps(key)}:{_canonical_json(value)}"
+               for key, value in payload.items() if key != "checksum"}
+    text = "{" + ",".join(members[key] for key in sorted(members)) + "}"
+    checksum = hashlib.sha256(text.encode()).hexdigest()
+    members["checksum"] = f'"checksum":{json.dumps(checksum)}'
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
-    return payload["checksum"]
+    Path(path).write_text("{" + ",".join(members[key] for key in sorted(members)) + "}\n")
+    return checksum
 
 
 def _read_payload(path, expected_format: str) -> dict:

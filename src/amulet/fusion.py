@@ -179,34 +179,29 @@ def ensemble_logits(per_expert_logits) -> np.ndarray:
 # --- fusion training ---------------------------------------------------------
 
 
-def _fusion_loss_nodes(system, leaves, z_all, label_idx: int) -> tc.Node:
-    z0 = z_all[0]
-    zbar = tc.constant(z0.mean(axis=0, keepdims=True))
-    glogits = tc.add(tc.matmul(zbar, leaves["gate.w"]), leaves["gate.b"])
+def _fusion_loss_nodes(system, leaves, z_alls, label_idx) -> tc.Node:
+    """Mean cross-entropy of a batch of clips as one graph: `z_alls` holds
+    each clip's `expert_features`, `label_idx` each clip's class index. The
+    gate, top-k selection and attention pooling act on each clip's own
+    frames; the loss and gradients are bitwise those of the mean of one graph
+    per clip."""
+    frames = tc.row_segments(z_all[0].shape[0] for z_all in z_alls)
+    rows = tc.row_segments([1] * len(z_alls))
+    z0 = np.concatenate([z_all[0] for z_all in z_alls])
+    zbar = tc.constant(np.concatenate([z_all[0].mean(axis=0, keepdims=True) for z_all in z_alls]))
+    glogits = tc.add(tc.matmul(zbar, leaves["gate.w"], rows), leaves["gate.b"], rows)
     scores = tc.softmax_rows(glogits)
-    order = np.argsort(-scores.value[0], kind="stable")
-    selected = sorted(int(i) for i in order[: system.k])
+    tracks = [np.concatenate([z_all[1 + i] for z_all in z_alls])
+              for i in range(system.n_specialists)]
+    mixed = tc.topk_mix(scores, tracks, system.k, system.renormalize, frames)
+    fused = tc.layer_norm(tc.add(mixed, tc.constant(z0)), leaves["ln.g"], leaves["ln.b"],
+                          LN_EPS, frames)
 
-    picked = {i: tc.pick(scores, i) for i in selected}
-    if system.renormalize:
-        total = None
-        for i in selected:
-            total = picked[i] if total is None else tc.add(total, picked[i])
-        inv = tc.srecip(total)
-        picked = {i: tc.smul(picked[i], inv) for i in selected}
-
-    acc = None
-    for i in selected:
-        term = tc.smul(tc.constant(z_all[1 + i]), picked[i])
-        acc = term if acc is None else tc.add(acc, term)
-    fused = tc.layer_norm(tc.add(acc, tc.constant(z0)), leaves["ln.g"], leaves["ln.b"], LN_EPS)
-
-    att = tc.matmul(fused, leaves["pool.a"])
-    weights = tc.softmax_rows(tc.transpose(att))
-    pooled = tc.matmul(weights, fused)
-    proj = tc.matmul(pooled, leaves["pool.proj"])
-    hidden = tc.tanh(tc.add(tc.matmul(proj, leaves["cls.w1"]), leaves["cls.b1"]))
-    logits = tc.add(tc.matmul(hidden, leaves["cls.w2"]), leaves["cls.b2"])
+    att = tc.matmul(fused, leaves["pool.a"], frames)
+    pooled = tc.attention_pool(att, fused, frames)
+    proj = tc.matmul(pooled, leaves["pool.proj"], rows)
+    hidden = tc.tanh(tc.add(tc.matmul(proj, leaves["cls.w1"], rows), leaves["cls.b1"], rows))
+    logits = tc.add(tc.matmul(hidden, leaves["cls.w2"], rows), leaves["cls.b2"], rows)
     return tc.cross_entropy(logits, label_idx)
 
 
@@ -222,8 +217,8 @@ def train_fusion(system: FusionSystem, train_set, dev_set, hyper: TrainHyper, se
     system.verify_bank()
     params, history = fit(
         system, *train_set,
-        lambda leaves, z_all, label, _rng: _fusion_loss_nodes(system, leaves, z_all,
-                                                              LABEL_INDEX[label]),
+        lambda leaves, z_alls, labels, _rngs: _fusion_loss_nodes(
+            system, leaves, z_alls, [LABEL_INDEX[label] for label in labels]),
         lambda: dev_eer(lambda z_all: fused_logits(system, z_all)[1], *dev_set),
         hyper, seed, log,
     )

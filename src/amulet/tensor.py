@@ -18,7 +18,22 @@ reduction, falls back to an explicit loop.
 
 A node allocates its gradient buffer when the first gradient reaches it, so
 constants, frozen leaves and every node off the gradient's path hold none;
-their `.grad` reads zeros.
+their `.grad` reads zeros. `backward` releases an interior node's buffer once
+its push has passed the gradient on, so afterwards only leaves hold one.
+
+A training graph covers a whole minibatch: each clip's rows are stacked
+after the previous clip's, and `row_segments` gives each clip's row slice.
+Row-wise work (products with a weight, bias adds, elementwise ops, layer
+norm, row softmax) runs once over the stack; it is bitwise the per-clip
+work, since no row reads another. Ops that take `segments` keep per clip
+what a per-clip graph did per clip: reductions over one clip's rows
+(`std_rows`, `mean_rows`, `diff_rows`, `attention_pool`, `topk_mix`), and
+the gradient of a tensor that every clip shares (the weight of `matmul`, the
+row of a broadcast `add`, the gain and bias of `layer_norm`), which takes
+one product or row sum per clip and adds them from the last clip to the
+first: the order in which a sum of per-clip graphs delivers them.
+`cross_entropy` folds the per-clip losses in batch order and scales by one
+over the batch size, as that sum did.
 """
 from __future__ import annotations
 
@@ -53,6 +68,21 @@ def as_matrix(x) -> np.ndarray:
 def row(values) -> np.ndarray:
     """A 1xN matrix view of a vector-like input."""
     return as_matrix(values).reshape(1, -1)
+
+
+def row_segments(counts) -> tuple:
+    """Row slices of consecutive blocks holding `counts` rows each."""
+    out = []
+    start = 0
+    for n in counts:
+        out.append(slice(start, start + n))
+        start += n
+    return tuple(out)
+
+
+def _segments(segments, value: np.ndarray) -> tuple:
+    """`segments`, or one segment over every row of `value`."""
+    return segments if segments is not None else (slice(0, value.shape[0]),)
 
 
 def matmul_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -159,20 +189,24 @@ def _acc(node: Node, g: np.ndarray) -> None:
         node._grad += g
 
 
-def matmul(a: Node, b: Node) -> Node:
+def matmul(a: Node, b: Node, segments=None) -> Node:
+    """a @ b. With `segments`, a stacks clips by rows and b is shared: b's
+    gradient is one a_c.T @ g_c product per clip, last clip first."""
     value = matmul_values(a.value, b.value)
 
     def push(g):
         if a.needs_grad:
             _acc(a, matmul_values(g, b.value.T))
         if b.needs_grad:
-            _acc(b, matmul_values(a.value.T, g))
+            for seg in reversed(_segments(segments, a.value)):
+                _acc(b, matmul_values(a.value[seg].T, g[seg]))
 
     return Node(value, (a, b), "matmul", push=push)
 
 
-def add(a: Node, b: Node) -> Node:
-    """Elementwise add; b may be a 1xN row vector broadcast over a's rows."""
+def add(a: Node, b: Node, segments=None) -> Node:
+    """Elementwise add; b may be a 1xN row vector broadcast over a's rows,
+    whose gradient is then one row sum per segment, last segment first."""
     broadcast = b.value.shape[0] == 1 and a.value.shape[0] != 1
     if not broadcast and a.value.shape != b.value.shape:
         raise ShapeError(f"add shapes disagree: {a.value.shape} vs {b.value.shape}")
@@ -183,8 +217,11 @@ def add(a: Node, b: Node) -> Node:
     def push(g):
         if a.needs_grad:
             _acc(a, g)
-        if b.needs_grad:
-            _acc(b, g.sum(axis=0, keepdims=True) if broadcast else g)
+        if b.needs_grad and not broadcast:
+            _acc(b, g)
+        elif b.needs_grad:
+            for seg in reversed(_segments(segments, a.value)):
+                _acc(b, g[seg].sum(axis=0, keepdims=True))
 
     return Node(value, (a, b), "add", push=push)
 
@@ -213,34 +250,6 @@ def scale(a: Node, c: float) -> Node:
     return Node(value, (a,), "scale", push=push)
 
 
-def smul(a: Node, s: Node) -> Node:
-    """Multiply a matrix node by a 1x1 scalar node."""
-    if s.value.shape != (1, 1):
-        raise ShapeError(f"smul scalar must be 1x1, got {s.value.shape}")
-    sv = s.value[0, 0]
-    value = a.value * sv
-
-    def push(g):
-        if a.needs_grad:
-            _acc(a, g * sv)
-        if s.needs_grad:
-            _acc(s, np.array([[float((g * a.value).sum())]]))
-
-    return Node(value, (a, s), "smul", push=push)
-
-
-def srecip(s: Node) -> Node:
-    """Reciprocal of a 1x1 scalar node."""
-    if s.value.shape != (1, 1):
-        raise ShapeError(f"srecip expects a 1x1 scalar, got {s.value.shape}")
-    value = 1.0 / s.value
-
-    def push(g):
-        _acc(s, -g * value * value)
-
-    return Node(value, (s,), "srecip", push=push)
-
-
 def tanh(a: Node) -> Node:
     value = np.tanh(a.value)
 
@@ -250,22 +259,17 @@ def tanh(a: Node) -> Node:
     return Node(value, (a,), "tanh", push=push)
 
 
-def transpose(a: Node) -> Node:
-    value = a.value.T.copy()
+def mean_rows(a: Node, segments=None) -> Node:
+    """(T x D) -> (1 x D) mean over rows; one row per segment."""
+    segments = _segments(segments, a.value)
+    value = np.concatenate([a.value[seg].mean(axis=0, keepdims=True) for seg in segments])
 
     def push(g):
-        _acc(a, g.T)
-
-    return Node(value, (a,), "transpose", push=push)
-
-
-def mean_rows(a: Node) -> Node:
-    """(T x D) -> (1 x D) mean over rows."""
-    t = a.value.shape[0]
-    value = a.value.mean(axis=0, keepdims=True)
-
-    def push(g):
-        _acc(a, np.repeat(g / t, t, axis=0))
+        full = np.empty_like(a.value)
+        for c, seg in enumerate(segments):
+            t = seg.stop - seg.start
+            full[seg] = np.repeat(g[c : c + 1] / t, t, axis=0)
+        _acc(a, full)
 
     return Node(value, (a,), "mean_rows", push=push)
 
@@ -277,13 +281,19 @@ def std_rows_values(x: np.ndarray, eps: float = 1e-12):
     return np.sqrt(var + eps), centered
 
 
-def std_rows(a: Node, eps: float = 1e-12) -> Node:
-    """(T x D) -> (1 x D) standard deviation over rows (temporal contrast)."""
-    t = a.value.shape[0]
-    value, centered = std_rows_values(a.value, eps)
+def std_rows(a: Node, eps: float = 1e-12, segments=None) -> Node:
+    """(T x D) -> (1 x D) standard deviation over rows (temporal contrast);
+    one row per segment."""
+    segments = _segments(segments, a.value)
+    stats = [std_rows_values(a.value[seg], eps) for seg in segments]
+    value = np.concatenate([std for std, _ in stats])
 
     def push(g):
-        _acc(a, centered * (g / (t * value)))
+        full = np.empty_like(a.value)
+        for c, seg in enumerate(segments):
+            std, centered = stats[c]
+            full[seg] = centered * (g[c : c + 1] / ((seg.stop - seg.start) * std))
+        _acc(a, full)
 
     return Node(value, (a,), "std_rows", push=push)
 
@@ -305,16 +315,20 @@ def pair_magnitude(a: Node, eps: float = 1e-12) -> Node:
     return Node(value, (a,), "pair_magnitude", push=push)
 
 
-def diff_rows(a: Node) -> Node:
-    """(T x D) -> (T-1 x D) first difference along rows."""
-    if a.value.shape[0] < 2:
-        raise ShapeError("diff_rows needs at least 2 rows")
-    value = a.value[1:] - a.value[:-1]
+def diff_rows(a: Node, segments=None) -> Node:
+    """(T x D) -> (T-1 x D) first difference along rows, within each segment;
+    the output stacks T_c - 1 rows per segment."""
+    segments = _segments(segments, a.value)
+    if any(seg.stop - seg.start < 2 for seg in segments):
+        raise ShapeError("diff_rows needs at least 2 rows per segment")
+    steps = row_segments(seg.stop - seg.start - 1 for seg in segments)
+    value = np.concatenate([a.value[seg][1:] - a.value[seg][:-1] for seg in segments])
 
     def push(g):
         full = np.zeros_like(a.value)
-        full[1:] += g
-        full[:-1] -= g
+        for seg, step in zip(segments, steps):
+            full[seg][1:] += g[step]
+            full[seg][:-1] -= g[step]
         _acc(a, full)
 
     return Node(value, (a,), "diff_rows", push=push)
@@ -370,22 +384,6 @@ def sum_all(a: Node) -> Node:
     return Node(value, (a,), "sum_all", push=push)
 
 
-def pick(a: Node, j: int) -> Node:
-    """Extract element (0, j) of a 1xN node as a 1x1 node."""
-    if a.value.shape[0] != 1:
-        raise ShapeError(f"pick expects a row vector, got {a.value.shape}")
-    if not 0 <= j < a.value.shape[1]:
-        raise ShapeError(f"pick index {j} out of range for {a.value.shape}")
-    value = a.value[:, j : j + 1].copy()
-
-    def push(g):
-        full = np.zeros_like(a.value)
-        full[0, j] = g[0, 0]
-        _acc(a, full)
-
-    return Node(value, (a,), "pick", push=push)
-
-
 def softmax_rows(a: Node) -> Node:
     value = softmax_values(a.value)
 
@@ -396,16 +394,21 @@ def softmax_rows(a: Node) -> Node:
     return Node(value, (a,), "softmax", push=push)
 
 
-def layer_norm(x: Node, gain: Node, bias: Node, eps: float = 1e-5) -> Node:
+def layer_norm(x: Node, gain: Node, bias: Node, eps: float = 1e-5, segments=None) -> Node:
+    """Row-wise layer norm; gain and bias take one row sum per segment."""
     if gain.value.shape != (1, x.value.shape[1]) or bias.value.shape != (1, x.value.shape[1]):
         raise ShapeError("layer_norm gain/bias must be 1xD rows matching x")
     value, xhat, inv_std = layer_norm_values(x.value, gain.value, bias.value, eps)
+    segments = _segments(segments, x.value)
 
     def push(g):
         if gain.needs_grad:
-            _acc(gain, (g * xhat).sum(axis=0, keepdims=True))
+            gx = g * xhat
+            for seg in reversed(segments):
+                _acc(gain, gx[seg].sum(axis=0, keepdims=True))
         if bias.needs_grad:
-            _acc(bias, g.sum(axis=0, keepdims=True))
+            for seg in reversed(segments):
+                _acc(bias, g[seg].sum(axis=0, keepdims=True))
         if x.needs_grad:
             dxhat = g * gain.value
             m1 = dxhat.mean(axis=1, keepdims=True)
@@ -415,22 +418,120 @@ def layer_norm(x: Node, gain: Node, bias: Node, eps: float = 1e-5) -> Node:
     return Node(value, (x, gain, bias), "layer_norm", push=push)
 
 
-def cross_entropy(logits: Node, label: int) -> Node:
-    """Negative log softmax probability of `label` for a 1xK logit row."""
-    if logits.value.shape[0] != 1:
-        raise ShapeError(f"cross_entropy expects a 1xK logit row, got {logits.value.shape}")
-    if not isinstance(label, (int, np.integer)) or not 0 <= int(label) < logits.value.shape[1]:
-        raise ValueError(f"label {label!r} invalid for {logits.value.shape[1]} classes")
-    label = int(label)
+def cross_entropy(logits: Node, labels) -> Node:
+    """Mean negative log softmax probability of each row's label, for B x K
+    logits and B labels (one label for a single row). The per-row losses are
+    summed in row order, then scaled by 1/B."""
+    if isinstance(labels, (int, np.integer)):
+        labels = [labels]
+    labels = list(labels)
+    if logits.value.shape[0] != len(labels):
+        raise ShapeError(f"cross_entropy got {len(labels)} labels for {logits.value.shape} logits")
+    for label in labels:
+        if not isinstance(label, (int, np.integer)) or not 0 <= int(label) < logits.value.shape[1]:
+            raise ValueError(f"label {label!r} invalid for {logits.value.shape[1]} classes")
+    labels = [int(label) for label in labels]
     probs = softmax_values(logits.value)
-    value = np.array([[cross_entropy_values(logits.value, label)]])
+    total = None
+    for r, label in enumerate(labels):
+        loss = cross_entropy_values(logits.value[r : r + 1], label)
+        total = loss if total is None else total + loss
+    scale = 1.0 / len(labels)
+    value = np.array([[total * scale]])
 
     def push(g):
         delta = probs.copy()
-        delta[0, label] -= 1.0
-        _acc(logits, delta * g[0, 0])
+        delta[np.arange(len(labels)), labels] -= 1.0
+        _acc(logits, delta * (g[0, 0] * scale))
 
     return Node(value, (logits,), "cross_entropy", push=push)
+
+
+def attention_pool(att: Node, x: Node, segments=None) -> Node:
+    """Per segment: softmax over its rows of the one-column scores `att`,
+    then the weighted sum of its rows of x. (T x 1), (T x D) -> (1 x D) per
+    segment, computed as softmax(att_c.T) @ x_c."""
+    if att.value.shape != (x.value.shape[0], 1):
+        raise ShapeError(f"attention_pool scores {att.value.shape} do not match {x.value.shape}")
+    segments = _segments(segments, x.value)
+    weights = [softmax_values(att.value[seg].T.copy()) for seg in segments]
+    value = np.concatenate([matmul_values(w, x.value[seg]) for w, seg in zip(weights, segments)])
+
+    def push(g):
+        g_att = np.empty_like(att.value)
+        g_x = np.empty_like(x.value)
+        for c, seg in enumerate(segments):
+            gc = g[c : c + 1]
+            if att.needs_grad:
+                gw = matmul_values(gc, x.value[seg].T)
+                dot = (gw * weights[c]).sum(axis=1, keepdims=True)
+                g_att[seg] = (weights[c] * (gw - dot)).T
+            if x.needs_grad:
+                g_x[seg] = matmul_values(weights[c].T, gc)
+        if att.needs_grad:
+            _acc(att, g_att)
+        if x.needs_grad:
+            _acc(x, g_x)
+
+    return Node(value, (att, x), "attention_pool", push=push)
+
+
+def topk_mix(scores: Node, tracks, k: int, renormalize: bool, segments=None) -> Node:
+    """Top-k weighted sum of constant feature tracks, per segment.
+
+    Row c of `scores` (B x N) weighs the N tracks' rows `segments[c]`: the k
+    largest scores, ties to the lowest index, each optionally divided by
+    their sum, multiply their tracks, which are summed in increasing index
+    order. The selection is constant; gradients reach the selected scores.
+    """
+    n = scores.value.shape[1]
+    if not 1 <= k <= n:
+        raise ShapeError(f"k={k} outside [1, {n}]")
+    segments = _segments(segments, tracks[0])
+    sv = scores.value
+    selections, inverses = [], []
+    value = np.empty_like(tracks[0])
+    for c, seg in enumerate(segments):
+        order = np.argsort(-sv[c], kind="stable")
+        selected = sorted(int(i) for i in order[:k])
+        weights = {i: sv[c, i] for i in selected}
+        inv = None
+        if renormalize:
+            total = None
+            for i in selected:
+                total = weights[i] if total is None else total + weights[i]
+            inv = 1.0 / total
+            weights = {i: weights[i] * inv for i in selected}
+        acc = None
+        for i in selected:
+            term = tracks[i][seg] * weights[i]
+            acc = term if acc is None else acc + term
+        value[seg] = acc
+        selections.append(selected)
+        inverses.append(inv)
+
+    def push(g):
+        # the arithmetic of a per-clip graph of pick, add, srecip and smul
+        # nodes, in the order its backward ran: the weights' terms reach
+        # 1/sum from the last selected index to the first
+        full = np.zeros_like(sv)
+        for c, seg in enumerate(segments):
+            selected, inv = selections[c], inverses[c]
+            g_w = {i: float((g[seg] * tracks[i][seg]).sum()) for i in selected}
+            if not renormalize:
+                for i in selected:
+                    full[c, i] = g_w[i]
+                continue
+            g_inv = None
+            for i in reversed(selected):
+                term = g_w[i] * sv[c, i]
+                g_inv = term if g_inv is None else g_inv + term
+            g_total = -g_inv * inv * inv
+            for i in selected:
+                full[c, i] = g_w[i] * inv + g_total
+        _acc(scores, full)
+
+    return Node(value, (scores,), "topk_mix", push=push)
 
 
 def topo_order(root: Node) -> list[Node]:
@@ -462,7 +563,8 @@ def topo_order(root: Node) -> list[Node]:
 
 
 def backward(root: Node) -> None:
-    """Accumulate d(root)/d(leaf) into every tracked leaf's .grad."""
+    """Accumulate d(root)/d(leaf) into every tracked leaf's .grad. Interior
+    nodes drop their gradient after their push, which nothing reads again."""
     if root.value.shape != (1, 1):
         raise ShapeError(f"backward root must be a 1x1 scalar, got {root.value.shape}")
     order = topo_order(root)
@@ -470,3 +572,4 @@ def backward(root: Node) -> None:
     for node in reversed(order):
         if node._push is not None and node.needs_grad:
             node._push(node.grad)
+            node._grad = None

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from amulet import experts as ex
 from amulet import tensor as tc
+from amulet.corpus import stable_seed
 
 
 def matmul_triple_loop(a, b):
@@ -121,3 +123,167 @@ def eer_segment_sweep(bona, spoof):
             return lo_frr + lam * (frr - lo_frr)
         prev = (frr, far)
     return 1.0
+
+
+# --- per-clip training graphs --------------------------------------------------
+#
+# The graphs the trainers built before they took whole minibatches: one graph
+# per clip, summed over the batch and scaled by one over its size. The batched
+# graphs must give bitwise the same loss and gradients. The per-clip fusion
+# graph picks, renormalizes and mixes the gate scores with these scalar ops.
+
+
+def pick(a, j: int):
+    """Element (0, j) of a 1xN node as a 1x1 node."""
+    value = a.value[:, j : j + 1].copy()
+
+    def push(g):
+        full = np.zeros_like(a.value)
+        full[0, j] = g[0, 0]
+        tc._acc(a, full)
+
+    return tc.Node(value, (a,), "pick", push=push)
+
+
+def srecip(s):
+    """Reciprocal of a 1x1 node."""
+    value = 1.0 / s.value
+
+    def push(g):
+        tc._acc(s, -g * value * value)
+
+    return tc.Node(value, (s,), "srecip", push=push)
+
+
+def smul(a, s):
+    """A matrix node times a 1x1 node."""
+    sv = s.value[0, 0]
+
+    def push(g):
+        if a.needs_grad:
+            tc._acc(a, g * sv)
+        if s.needs_grad:
+            tc._acc(s, np.array([[float((g * a.value).sum())]]))
+
+    return tc.Node(a.value * sv, (a, s), "smul", push=push)
+
+
+def transpose(a):
+    def push(g):
+        tc._acc(a, g.T)
+
+    return tc.Node(a.value.T.copy(), (a,), "transpose", push=push)
+
+
+def expert_clip_loss(model, leaves, feats, label, dropout_rng=None, layer0=None):
+    """One clip's expert loss graph; `layer0` is the clip's x@W0 or None."""
+    h = tc.constant(feats)
+    for i in range(model.n_layers):
+        w = leaves[f"enc.w{i}"]
+        if i == 0 and layer0 is not None and not w.needs_grad:
+            base = tc.constant(layer0)
+        else:
+            base = tc.matmul(h, w)
+        pre = tc.add(base, leaves[f"enc.b{i}"])
+        if model.has_adapters:
+            adapter = model.adapter(i)
+            x_in = h
+            if dropout_rng is not None and adapter.dropout_p > 0.0:
+                keep = dropout_rng.random(h.shape) >= adapter.dropout_p
+                x_in = tc.mul(h, tc.constant(keep / (1.0 - adapter.dropout_p)))
+            delta = tc.matmul(tc.matmul(x_in, leaves[f"lora.a{i}"]), leaves[f"lora.b{i}"])
+            pre = tc.add(pre, tc.scale(delta, adapter.scale))
+        h = tc.tanh(pre)
+    mag = tc.pair_magnitude(h, ex.PAIR_EPS)
+    contrast = tc.log_shift(tc.std_rows(mag), ex.POOL_LOG_EPS)
+    motion = tc.log_shift(tc.mean_rows(tc.absval(tc.diff_rows(mag))), ex.POOL_LOG_EPS)
+    pooled = tc.scale(tc.hconcat(contrast, motion), ex.POOL_LOG_GAIN)
+    logits = tc.add(tc.matmul(pooled, leaves["head.w"]), leaves["head.b"])
+    return tc.cross_entropy(logits, ex.LABEL_INDEX[label])
+
+
+def fusion_clip_loss(system, leaves, z_all, label_idx: int):
+    """One clip's fusion loss graph over its expert features [z0, z1, ...]."""
+    z0 = z_all[0]
+    zbar = tc.constant(z0.mean(axis=0, keepdims=True))
+    glogits = tc.add(tc.matmul(zbar, leaves["gate.w"]), leaves["gate.b"])
+    scores = tc.softmax_rows(glogits)
+    order = np.argsort(-scores.value[0], kind="stable")
+    selected = sorted(int(i) for i in order[: system.k])
+
+    picked = {i: pick(scores, i) for i in selected}
+    if system.renormalize:
+        total = None
+        for i in selected:
+            total = picked[i] if total is None else tc.add(total, picked[i])
+        inv = srecip(total)
+        picked = {i: smul(picked[i], inv) for i in selected}
+
+    acc = None
+    for i in selected:
+        term = smul(tc.constant(z_all[1 + i]), picked[i])
+        acc = term if acc is None else tc.add(acc, term)
+    fused = tc.layer_norm(tc.add(acc, tc.constant(z0)), leaves["ln.g"], leaves["ln.b"], 1e-5)
+
+    att = tc.matmul(fused, leaves["pool.a"])
+    weights = tc.softmax_rows(transpose(att))
+    pooled = tc.matmul(weights, fused)
+    proj = tc.matmul(pooled, leaves["pool.proj"])
+    hidden = tc.tanh(tc.add(tc.matmul(proj, leaves["cls.w1"]), leaves["cls.b1"]))
+    logits = tc.add(tc.matmul(hidden, leaves["cls.w2"]), leaves["cls.b2"])
+    return tc.cross_entropy(logits, label_idx)
+
+
+def mean_of_clip_losses(losses):
+    """A batch loss as the per-clip trainer formed it: the clip losses added in
+    batch order, then scaled by one over the batch size."""
+    total = None
+    for loss in losses:
+        total = loss if total is None else tc.add(total, loss)
+    return tc.scale(total, 1.0 / len(losses))
+
+
+def fit_per_clip(model, train_feats, train_labels, clip_loss, epoch_eer, hyper, seed):
+    """The minibatch trainer as it was with one loss graph per clip:
+    `clip_loss(leaves, feats, label, dropout_rng)`. Same shuffle and dropout
+    seeds, update, plateau halving, early stop and first-minimum copy as
+    `experts.fit`; returns (best tensors, history)."""
+    lr = hyper.lr
+    best = {name: value.copy() for name, value in model.tensors.items()}
+    best_eer = float("inf")
+    plateau = stall = 0
+    history = []
+    for epoch in range(hyper.max_epochs):
+        shuffle_rng = np.random.Generator(np.random.Philox(stable_seed(seed, "shuffle", epoch)))
+        order = shuffle_rng.permutation(len(train_feats))
+        epoch_loss = 0.0
+        for start in range(0, len(order), hyper.batch_size):
+            batch = order[start : start + hyper.batch_size]
+            leaves = ex.make_leaves(model)
+            losses = []
+            for idx in batch:
+                drop_rng = np.random.Generator(
+                    np.random.Philox(stable_seed(seed, "dropout", epoch, int(idx))))
+                losses.append(clip_loss(leaves, train_feats[idx], train_labels[idx], drop_rng))
+            loss = mean_of_clip_losses(losses)
+            tc.backward(loss)
+            for name, node in leaves.items():
+                if node.requires_grad:
+                    model.tensors[name] = model.tensors[name] - lr * node.grad
+            epoch_loss += float(loss.value[0, 0]) * len(batch)
+        epoch_loss /= len(train_feats)
+        eer = epoch_eer()
+        history.append({"epoch": epoch, "loss": epoch_loss, "dev_eer": eer, "lr": lr})
+        if eer < best_eer:
+            best_eer = eer
+            best = {name: value.copy() for name, value in model.tensors.items()}
+            plateau = stall = 0
+        else:
+            plateau += 1
+            stall += 1
+            if plateau >= hyper.plateau_epochs:
+                lr = max(lr * hyper.lr_factor, hyper.lr_floor)
+                plateau = 0
+            if stall >= hyper.patience:
+                break
+    return best, history

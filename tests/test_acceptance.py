@@ -132,10 +132,10 @@ class TestCriterion3Gradients:
         def loss_value(tensors):
             probe = ex.ExpertModel(cfg, tensors, model.frozen, model.lora_meta)
             leaves = ex.make_leaves(probe)
-            return float(ex.loss_nodes(probe, leaves, feats, "spoof").value[0, 0])
+            return float(ex.loss_nodes(probe, leaves, [feats], ["spoof"]).value[0, 0])
 
         leaves = ex.make_leaves(model)
-        loss = ex.loss_nodes(model, leaves, feats, "spoof")
+        loss = ex.loss_nodes(model, leaves, [feats], ["spoof"])
         tc.backward(loss)
         trainable = {n: model.tensors[n] for n in model.tensors if n not in model.frozen}
         fd = finite_difference_grads(lambda v: loss_value({**model.tensors, **v}), trainable)

@@ -8,7 +8,13 @@ from amulet import experts as ex
 from amulet import tensor as tc
 from amulet.audio import AudioClip
 
-from oracles import finite_difference_grads, relative_error
+from oracles import (
+    expert_clip_loss,
+    finite_difference_grads,
+    fit_per_clip,
+    mean_of_clip_losses,
+    relative_error,
+)
 
 TINY = cp.SynthConfig(n_train=24, n_dev=8, n_eval=6)
 ENC = ex.EncoderConfig()
@@ -158,7 +164,7 @@ class TestForwardGradients:
         feats = ex.frame_features(random_clip(9), ENC)
         plain = ex.encoder_forward(model, feats)
         leaves = ex.make_leaves(model)
-        graph = ex.encoder_forward_nodes(model, leaves, feats)
+        graph = ex.encoder_forward_nodes(model, leaves, [feats])
         assert np.array_equal(plain, graph.value)
 
     def test_expert_loss_matches_finite_differences(self):
@@ -172,10 +178,10 @@ class TestForwardGradients:
         def loss_value(tensors):
             probe = ex.ExpertModel(cfg, tensors, model.frozen, model.lora_meta)
             leaves = ex.make_leaves(probe)
-            return float(ex.loss_nodes(probe, leaves, feats, "spoof").value[0, 0])
+            return float(ex.loss_nodes(probe, leaves, [feats], ["spoof"]).value[0, 0])
 
         leaves = ex.make_leaves(model)
-        loss = ex.loss_nodes(model, leaves, feats, "spoof")
+        loss = ex.loss_nodes(model, leaves, [feats], ["spoof"])
         tc.backward(loss)
         trainable = {n: model.tensors[n] for n in model.tensors if n not in model.frozen}
         fd = finite_difference_grads(lambda vals: loss_value({**model.tensors, **vals}), trainable)
@@ -188,15 +194,15 @@ class TestForwardGradients:
         for name in ("lora.b0", "lora.b1", "lora.b2", "head.w"):
             model.tensors[name] = rng.normal(0, 0.1, model.tensors[name].shape)
         feats = ex.frame_features(random_clip(6, seconds=1.0), ENC)
-        layer0 = (tc.matmul_values(feats, model.tensors["enc.w0"]), None)
+        layer0 = tc.matmul_values(feats, model.tensors["enc.w0"])
 
         def loss_and_leaves(cached, leaked=False):
             leaves = ex.make_leaves(model)
             if leaked:
                 leaves["enc.w0"] = tc.Node(model.tensors["enc.w0"], requires_grad=True)
             drop_rng = np.random.Generator(np.random.Philox(7))
-            loss = ex.loss_nodes(model, leaves, feats, "spoof", drop_rng,
-                                 layer0 if cached else None)
+            loss = ex.loss_nodes(model, leaves, [feats], ["spoof"], [drop_rng],
+                                 [layer0] if cached else None)
             tc.backward(loss)
             return loss, leaves
 
@@ -216,6 +222,137 @@ class TestForwardGradients:
             model.tensors[f"enc.b{i}"] = np.zeros_like(model.tensors[f"enc.b{i}"])
         out = ex.encoder_forward(model, np.zeros((4, 160)))
         assert np.array_equal(out, np.zeros((4, 64)))
+
+
+def with_live_head(model, seed):
+    """`model` with a random head and adapter B, so that every trainable
+    tensor gets a nonzero gradient."""
+    rng = np.random.default_rng(seed)
+    model.tensors["head.w"] = rng.normal(0.0, 0.1, model.tensors["head.w"].shape)
+    if model.has_adapters:
+        for i in range(model.n_layers):
+            model.tensors[f"lora.b{i}"] = rng.normal(0.0, 0.1, model.tensors[f"lora.b{i}"].shape)
+    return model
+
+
+class TestBatchedLoss:
+    """`loss_nodes` over a batch against the mean of per-clip graphs."""
+
+    LABELS = ["bonafide", "spoof", "spoof", "bonafide"]
+
+    @staticmethod
+    def assert_matches_per_clip(model, feats, labels, dropout=False, cached=False):
+        def rngs():
+            if not dropout:
+                return None
+            return [np.random.Generator(np.random.Philox(300 + c)) for c in range(len(feats))]
+
+        layer0 = [tc.matmul_values(f, model.tensors["enc.w0"]) for f in feats] if cached else None
+        leaves = ex.make_leaves(model)
+        loss = ex.loss_nodes(model, leaves, feats, labels, rngs(), layer0)
+        tc.backward(loss)
+
+        ref_leaves = ex.make_leaves(model)
+        ref_rngs = rngs()
+        ref = mean_of_clip_losses([
+            expert_clip_loss(model, ref_leaves, f, label,
+                             None if ref_rngs is None else ref_rngs[c],
+                             None if layer0 is None else layer0[c])
+            for c, (f, label) in enumerate(zip(feats, labels))
+        ])
+        tc.backward(ref)
+        assert np.array_equal(loss.value, ref.value)
+        for name in model.trainable_names():
+            assert np.any(ref_leaves[name].grad != 0), name
+            assert np.array_equal(leaves[name].grad, ref_leaves[name].grad), name
+
+    @staticmethod
+    def clips(seconds):
+        return [ex.frame_features(random_clip(200 + i, s), ENC) for i, s in enumerate(seconds)]
+
+    def test_shared_expert(self):
+        model = with_live_head(ex.new_expert(ENC, 20), 21)
+        self.assert_matches_per_clip(model, self.clips([0.5] * 4), self.LABELS)
+
+    def test_ase_with_dropout_and_cached_layer0(self):
+        base = with_live_head(ex.new_expert(ENC, 22), 23)
+        model = with_live_head(ex.lora_inject(base, 4, 16.0, 0.1, seed=24), 25)
+        self.assert_matches_per_clip(model, self.clips([0.5] * 4), self.LABELS,
+                                     dropout=True, cached=True)
+
+    def test_batch_of_one(self):
+        base = with_live_head(ex.new_expert(ENC, 26), 27)
+        model = with_live_head(ex.lora_inject(base, 4, 16.0, 0.1, seed=28), 29)
+        self.assert_matches_per_clip(model, self.clips([0.5]), ["spoof"], dropout=True, cached=True)
+        self.assert_matches_per_clip(base, self.clips([0.5]), ["bonafide"])
+
+    def test_clips_of_different_lengths(self):
+        seconds = [0.3, 0.75, 0.02, 0.5]  # 30, 75, 2 and 50 frames
+        e0 = with_live_head(ex.new_expert(ENC, 30), 31)
+        self.assert_matches_per_clip(e0, self.clips(seconds), self.LABELS)
+        ase = with_live_head(ex.lora_inject(e0, 4, 16.0, 0.2, seed=32), 33)
+        self.assert_matches_per_clip(ase, self.clips(seconds), self.LABELS,
+                                     dropout=True, cached=True)
+
+
+class TestFitAgainstPerClipTrainer:
+    """Several epochs of `fit`, three minibatches each (the last one short),
+    against the trainer that built one graph per clip."""
+
+    CFG = ex.EncoderConfig(frame_len=32, hop=32, hidden_dims=(8, 8))
+
+    def _run(self, model, trainer, loss_fn, tmp_path, name):
+        feats = [ex.frame_features(random_clip(400 + i, 0.02 + 0.004 * i), self.CFG)
+                 for i in range(10)]
+        clips = [(f, tc.matmul_values(f, model.tensors["enc.w0"])) for f in feats]
+        labels = ["bonafide", "spoof"] * 5
+        dev = [ex.frame_features(random_clip(500 + i, 0.03), self.CFG) for i in range(4)]
+        dev_labels = ["bonafide", "spoof", "bonafide", "spoof"]
+        work = model.copy()
+        snapshots = []
+
+        def epoch_eer():
+            snapshots.append({n: v.copy() for n, v in work.tensors.items()})
+            return ex.dev_eer(lambda f: ex.expert_logits(work, f), dev, dev_labels)
+
+        hyper = ex.TrainHyper(lr=0.05, batch_size=4, max_epochs=4, plateau_epochs=1)
+        best, history = trainer(work, clips, labels, loss_fn(work), epoch_eer, hyper, 41)
+        trained = ex.ExpertModel(work.cfg, best, work.frozen, work.lora_meta)
+        path = tmp_path / name
+        if trained.has_adapters:
+            ex.save_adapter_checkpoint(trained, path)
+        else:
+            ex.save_expert_checkpoint(trained, path)
+        return path.read_bytes(), history, snapshots
+
+    @pytest.mark.parametrize("adapted", [False, True])
+    def test_checkpoints_equal_per_clip_trainer(self, adapted, tmp_path):
+        model = with_live_head(ex.new_expert(self.CFG, 42), 43)
+        if adapted:
+            model = with_live_head(ex.lora_inject(model, 2, 8.0, 0.2, seed=44), 45)
+
+        def batched(work):
+            def batch_loss(leaves, clips, labels, rngs):
+                return ex.loss_nodes(work, leaves, [c[0] for c in clips], labels, rngs,
+                                     [c[1] for c in clips])
+            return batch_loss
+
+        def per_clip(work):
+            return lambda leaves, clip, label, rng: expert_clip_loss(
+                work, leaves, clip[0], label, rng, clip[1])
+
+        def fit(work, clips, labels, loss, epoch_eer, hyper, seed):
+            return ex.fit(work, clips, labels, loss, epoch_eer, hyper, seed)
+
+        got = self._run(model, fit, batched, tmp_path, "batched.json")
+        want = self._run(model, fit_per_clip, per_clip, tmp_path, "per_clip.json")
+        assert got[1] == want[1]  # losses, dev EERs and learning rates per epoch
+        assert len(got[2]) == 4
+        for mine, theirs in zip(got[2], want[2]):
+            for name in mine:
+                assert np.array_equal(mine[name], theirs[name]), name
+        assert not np.array_equal(got[2][0]["head.w"], model.tensors["head.w"])
+        assert got[0] == want[0]
 
 
 def adapted_bank(base, ranks, seed):
@@ -284,14 +421,16 @@ class TestFit:
         feats = [np.array([[0.5, 1.0]]), np.array([[-1.0, 0.25]]), np.array([[2.0, -0.5]])]
         snapshots = []
 
-        def clip_loss(leaves, x, label, rng):
-            return tc.sum_all(tc.matmul(tc.constant(x), leaves["w"]))
+        def batch_loss(leaves, xs, labels, rngs):
+            assert len(xs) == len(labels) == len(rngs)
+            total = tc.sum_all(tc.matmul(tc.constant(np.concatenate(xs)), leaves["w"]))
+            return tc.scale(total, 1.0 / len(xs))
 
         def epoch_eer():
             snapshots.append(store.tensors["w"].copy())
             return eers[len(snapshots) - 1]
 
-        best, history = ex.fit(store, feats, ["bonafide", "spoof", "spoof"], clip_loss,
+        best, history = ex.fit(store, feats, ["bonafide", "spoof", "spoof"], batch_loss,
                                epoch_eer, ex.TrainHyper(**hyper), seed=5)
         assert store.tensors["frozen"] is frozen_before
         assert [h["dev_eer"] for h in history] == eers[: len(history)]

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from dataclasses import asdict
 from pathlib import Path
 
@@ -9,7 +11,12 @@ from amulet import experts as ex
 from amulet import fusion as fu
 from amulet import tensor as tc
 
-from oracles import finite_difference_grads, relative_error
+from oracles import (
+    finite_difference_grads,
+    fusion_clip_loss,
+    mean_of_clip_losses,
+    relative_error,
+)
 
 ENC = ex.EncoderConfig(frame_len=160, hop=160, hidden_dims=(8, 8))
 SYNTH = cp.SynthConfig(n_train=8, n_dev=4, n_eval=4, clip_seconds=1.0)
@@ -268,10 +275,10 @@ class TestTrainFusion:
         def loss_value(params):
             probe = fu.FusionSystem(system.experts, system.k, dict(params), system.renormalize)
             leaves = {name: tc.Node(v, requires_grad=True) for name, v in params.items()}
-            return float(fu._fusion_loss_nodes(probe, leaves, z_all, 1).value[0, 0])
+            return float(fu._fusion_loss_nodes(probe, leaves, [z_all], [1]).value[0, 0])
 
         leaves = {name: tc.Node(v, requires_grad=True) for name, v in system.params.items()}
-        loss = fu._fusion_loss_nodes(system, leaves, z_all, 1)
+        loss = fu._fusion_loss_nodes(system, leaves, [z_all], [1])
         tc.backward(loss)
         fd = finite_difference_grads(loss_value, {k: v.copy() for k, v in system.params.items()})
         for name in system.params:
@@ -283,17 +290,45 @@ class TestTrainFusion:
         system.params["gate.w"] = rng.normal(0, 0.2, system.params["gate.w"].shape)
         z_all = [rng.standard_normal((3, 8)) for _ in range(4)]
         leaves = {name: tc.Node(v, requires_grad=True) for name, v in system.params.items()}
-        loss = fu._fusion_loss_nodes(system, leaves, z_all, 0)
+        loss = fu._fusion_loss_nodes(system, leaves, [z_all], [0])
         tc.backward(loss)
 
         def loss_value(params):
             probe = fu.FusionSystem(system.experts, system.k, dict(params), True)
             l2 = {name: tc.Node(v, requires_grad=True) for name, v in params.items()}
-            return float(fu._fusion_loss_nodes(probe, l2, z_all, 0).value[0, 0])
+            return float(fu._fusion_loss_nodes(probe, l2, [z_all], [0]).value[0, 0])
 
         fd = finite_difference_grads(loss_value, {k: v.copy() for k, v in system.params.items()})
         for name in ("gate.w", "ln.g", "pool.a", "cls.w1"):
             assert relative_error(leaves[name].grad, fd[name]) < 1e-4, name
+
+    @pytest.mark.parametrize("renormalize", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_batched_loss_equals_per_clip_graphs(self, k, renormalize):
+        system = fu.FusionSystem(make_bank(), k=k, renormalize=renormalize, seed=28)
+        rng = np.random.default_rng(29 + k)
+        for name in ("gate.w", "gate.b", "pool.a", "cls.w2"):
+            system.params[name] = rng.normal(0, 0.5, system.params[name].shape)
+        # clips of different lengths; the third clip's gate scores tie
+        z_alls = [[rng.standard_normal((t, 8)) for _ in range(6)] for t in (7, 12, 3, 9)]
+        z_alls[2][0] = np.zeros((3, 8))
+        labels = [0, 1, 1, 0]
+
+        def leaves():
+            return {name: tc.Node(v, requires_grad=True) for name, v in system.params.items()}
+
+        batched = leaves()
+        loss = fu._fusion_loss_nodes(system, batched, z_alls, labels)
+        tc.backward(loss)
+        per_clip = leaves()
+        ref = mean_of_clip_losses([fusion_clip_loss(system, per_clip, z_all, label)
+                                   for z_all, label in zip(z_alls, labels)])
+        tc.backward(ref)
+        assert np.array_equal(loss.value, ref.value)
+        for name, node in per_clip.items():
+            # one renormalized weight is 1 whatever the scores: no gate gradient
+            assert np.any(node.grad != 0) or (k == 1 and renormalize and "gate" in name), name
+            assert np.array_equal(batched[name].grad, node.grad), name
 
     def test_expert_order_permutation_with_full_selection(self):
         bank = make_bank(n_specialists=3, seed=23)
@@ -345,6 +380,26 @@ class TestFusionCheckpoint:
         assert sorted(read) == ["ase.json", "e0.json", "fusion.json"]  # each file once
         clip = cp.synth_clip("spoof", 9, SYNTH)
         assert score(loaded, clip) == score(system, clip)
+
+    def test_every_format_is_canonical_json(self, tmp_path):
+        base = ex.new_expert(ENC, 37)
+        ase = ex.lora_inject(base, 2, 8.0, 0.1, seed=38)
+        written = {
+            "e0.json": ex.save_expert_checkpoint(base, tmp_path / "e0.json"),
+            "ase.json": ex.save_adapter_checkpoint(ase, tmp_path / "ase.json"),
+        }
+        written["fusion.json"] = fu.save_fusion_checkpoint(
+            fu.FusionSystem([base, ase], k=1, renormalize=True, seed=39),
+            tmp_path / "fusion.json", list(written.items()),
+        )
+        for name, checksum in written.items():
+            data = (tmp_path / name).read_bytes()
+            payload = json.loads(data)
+            canonical = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+            assert data == canonical.encode(), name
+            body = {key: value for key, value in payload.items() if key != "checksum"}
+            text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+            assert payload["checksum"] == checksum == hashlib.sha256(text.encode()).hexdigest()
 
     def test_binding_mismatch_detected(self, tmp_path):
         base = ex.new_expert(ENC, 34)

@@ -6,7 +6,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from amulet import tensor as tc
 
-from oracles import finite_difference_grads, matmul_triple_loop, random_graph, relative_error
+from oracles import (
+    finite_difference_grads,
+    matmul_triple_loop,
+    pick,
+    random_graph,
+    relative_error,
+    smul,
+    srecip,
+    transpose,
+)
 
 
 def dims(lo=1, hi=10):
@@ -217,6 +226,15 @@ class TestBackward:
         tc.backward(tc.scale(v, -0.0))
         assert not np.signbit(v.grad).any()  # zeros + (-0.0) is +0.0
 
+    def test_interior_gradients_released_after_push(self):
+        rng = np.random.default_rng(10)
+        w = tc.leaf(rng.standard_normal((4, 2)), requires_grad=True)
+        hidden = tc.tanh(tc.matmul(tc.constant(rng.standard_normal((3, 4))), w))
+        out = tc.sum_all(tc.mul(hidden, hidden))
+        tc.backward(out)
+        assert hidden._grad is None and out._grad is None
+        assert np.array_equal(w.grad, w._grad) and np.any(w.grad != 0)
+
     def test_scalar_root_required(self):
         node = tc.leaf(np.zeros((2, 2)), requires_grad=True)
         with pytest.raises(tc.ShapeError):
@@ -260,8 +278,8 @@ class TestBackward:
         def build(values):
             m = tc.Node(values["m"], requires_grad=True)
             v = tc.Node(values["v"], requires_grad=True)
-            s = tc.pick(v, 2)
-            scaled = tc.smul(m, tc.srecip(s))
+            s = pick(v, 2)
+            scaled = smul(m, srecip(s))
             out = tc.sum_all(tc.mul(scaled, scaled))
             return out, {"m": m, "v": v}
 
@@ -282,7 +300,7 @@ class TestBackward:
 
         def build(values):
             x = tc.Node(values["x"], requires_grad=True)
-            w = tc.softmax_rows(tc.transpose(tc.mean_rows(x)))
+            w = tc.softmax_rows(transpose(tc.mean_rows(x)))
             out = tc.sum_all(tc.mul(w, w))
             return out, x
 
