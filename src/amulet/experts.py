@@ -307,9 +307,7 @@ def bank_forward(models, feats: np.ndarray) -> list:
         xa = None
         if model.has_adapters:
             rank = model.tensors["lora.a0"].shape[1]
-            # einsum orders its loops by operand strides; a contiguous operand
-            # keeps the order the bitwise matmul tests pin
-            xa = np.ascontiguousarray(product[:, col : col + rank])
+            xa = product[:, col : col + rank]
             col += rank
         out.append(encoder_forward(model, feats, (base, xa)))
     return out

@@ -9,7 +9,10 @@ row-wise vector ops and no dtype other than float64.
 Matrix products accumulate over the inner index in increasing order, so the
 result is bitwise identical to a naive triple loop. `np.einsum` happens to
 honour that order for outputs with two or more columns and contiguous
-operands (verified exhaustively in the test suite). A single-column product
+operands (verified exhaustively in the test suite), so every product runs on
+contiguous copies of operands that arrive as views, such as the transposed
+weight `g @ W.T` of a backward pass: on a view einsum orders its loops by
+the strides and reorders the sum. A single-column product
 with two or more rows is taken as `(b.T @ a.T).T` on contiguous copies of the
 transposes: that product has one row and two or more columns, so each element
 still sums the inner index in increasing order, and a product and its
@@ -105,7 +108,9 @@ def matmul_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             np.multiply(a[:, k : k + 1], b[k, 0], out=scratch)
             np.add(out, scratch, out=out)
         return out
-    return np.einsum("ik,kj->ij", a, b)
+    # einsum orders its loops by operand strides: on a transposed view it
+    # reorders the sum, so both operands run as contiguous copies
+    return np.einsum("ik,kj->ij", np.ascontiguousarray(a), np.ascontiguousarray(b))
 
 
 def softmax_values(x: np.ndarray) -> np.ndarray:

@@ -67,6 +67,18 @@ class TestMatmul:
         b = rng.standard_normal((20, 7))
         assert np.array_equal(tc.matmul_values(a.T, b), matmul_triple_loop(a.T, b))
 
+    def test_transposed_second_operand_bitwise(self):
+        # g @ W.T as `matmul`'s backward takes it: (rows, inner, W's rows) at
+        # the encoder, adapter, expert head, gate and fusion head shapes
+        rng = np.random.default_rng(14)
+        shapes = [(100, 64, 64), (100, 64, 160), (100, 64, 4), (100, 4, 160), (100, 4, 64),
+                  (100, 1, 64), (1, 2, 128), (1, 64, 64), (1, 2, 64), (1, 5, 64), (1, 64, 100),
+                  (3, 8, 3)]
+        for p, q, s in shapes:
+            a = rng.standard_normal((p, q))
+            w = rng.standard_normal((s, q))
+            assert np.array_equal(tc.matmul_values(a, w.T), matmul_triple_loop(a, w.T)), (p, q, s)
+
     @given(p=dims(), q=dims(), s=dims(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_matches_triple_loop(self, p, q, s, seed):
