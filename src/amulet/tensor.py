@@ -12,12 +12,14 @@ honour that order for outputs with two or more columns and contiguous
 operands (verified exhaustively in the test suite), so every product runs on
 contiguous copies of operands that arrive as views, such as the transposed
 weight `g @ W.T` of a backward pass: on a view einsum orders its loops by
-the strides and reorders the sum. A single-column product
-with two or more rows is taken as `(b.T @ a.T).T` on contiguous copies of the
-transposes: that product has one row and two or more columns, so each element
-still sums the inner index in increasing order, and a product and its
-transpose hold the same element sums. Only a 1xK @ Kx1 product, a pure
-reduction, falls back to an explicit loop.
+the strides and reorders the sum. A product with two or more rows and fewer
+than `NARROW_COLUMNS` columns (a single column, the rank-4 `x@A` products and
+their A-gradients) is taken as `(b.T @ a.T).T` on contiguous copies of the
+transposes: that product has two or more columns, so each element still
+sums the inner index in increasing order, and a product and its transpose
+hold the same element sums; einsum reorders a single-column sum and is slow
+on narrow outputs. Only a 1xK @ Kx1 product, a pure reduction, falls back to
+an explicit loop.
 
 A node allocates its gradient buffer when the first gradient reaches it, so
 constants, frozen leaves and every node off the gradient's path hold none;
@@ -88,16 +90,20 @@ def _segments(segments, value: np.ndarray) -> tuple:
     return segments if segments is not None else (slice(0, value.shape[0]),)
 
 
+# Outputs narrower than this many columns run as the transposed product.
+NARROW_COLUMNS = 8
+
+
 def matmul_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with per-element accumulation in increasing inner index."""
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError("matmul operands must be 2-D")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    if b.shape[1] == 1 and a.shape[0] > 1:
-        # einsum reorders the reduction when the output has a single column,
-        # and orders its loops by operand strides, so the transposed product
-        # runs on contiguous copies
+    if b.shape[1] < NARROW_COLUMNS and a.shape[0] > 1:
+        # einsum reorders the reduction when the output has a single column
+        # and is slow on narrow outputs; the transposed product has one row
+        # per output column and a.shape[0] >= 2 columns
         bt = np.ascontiguousarray(b.T)
         at = np.ascontiguousarray(a.T)
         return np.einsum("ik,kj->ij", bt, at).T

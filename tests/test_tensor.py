@@ -55,7 +55,7 @@ class TestMatmul:
     def test_training_shapes_bitwise(self):
         rng = np.random.default_rng(12)
         shapes = [(200, 160, 64), (160, 200, 64), (64, 200, 160), (200, 64, 1), (1, 64, 5),
-                  (100, 64, 1), (64, 200, 1)]
+                  (100, 64, 1), (64, 200, 1), (100, 160, 4), (160, 100, 4), (4, 100, 64)]
         for p, q, s in shapes:
             a = rng.standard_normal((p, q))
             b = rng.standard_normal((q, s))
