@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive (triple loops, per-element finite
 differences, per-segment threshold sweeps) and never calls the implementation
-it is checking.
+it is checking. The per-clip training graphs are built from `tensor` ops one
+clip at a time, so none of the batched graphs' per-clip segment logic runs.
 """
 from __future__ import annotations
 

@@ -341,10 +341,7 @@ class TestFitAgainstPerClipTrainer:
             return lambda leaves, clip, label, rng: expert_clip_loss(
                 work, leaves, clip[0], label, rng, clip[1])
 
-        def fit(work, clips, labels, loss, epoch_eer, hyper, seed):
-            return ex.fit(work, clips, labels, loss, epoch_eer, hyper, seed)
-
-        got = self._run(model, fit, batched, tmp_path, "batched.json")
+        got = self._run(model, ex.fit, batched, tmp_path, "batched.json")
         want = self._run(model, fit_per_clip, per_clip, tmp_path, "per_clip.json")
         assert got[1] == want[1]  # losses, dev EERs and learning rates per epoch
         assert len(got[2]) == 4
