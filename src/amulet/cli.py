@@ -2,8 +2,12 @@
 
 Stages are idempotent: each records a fingerprint of the resolved config plus
 content hashes of everything it read and wrote, and is skipped when nothing
-changed. `reproduce` chains synth, attacks, expert and fusion training,
-scoring, and reporting, ending with a checksum manifest over every artifact.
+changed. Within one `Pipeline` (one command), each watched file is hashed at
+most once: its sha256 is kept in memory until a stage runs, and every stage
+that runs drops all kept digests before and after its work. Nothing of it is
+stored, so every command hashes every file it watches again.
+`reproduce` chains synth, attacks, expert and fusion training, scoring, and
+reporting, ending with a checksum manifest over every artifact.
 
 Exit codes: 0 success, 1 user/config error, 2 internal invariant violation.
 """
@@ -30,19 +34,21 @@ class MissingArtifactError(RuntimeError):
     pass
 
 
-def _hash_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _hash_file(path) -> str:
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
 
 
-def _expand(paths) -> list:
-    files = []
-    for path in paths:
-        path = Path(path)
-        if path.is_dir():
-            files.extend(sorted(p for p in path.rglob("*") if p.is_file()))
-        elif path.exists():
-            files.append(path)
-    return files
+def _walk(top: str, rel: str, files: dict) -> None:
+    """Add every file under directory `top` to `files` as {rel/...: path},
+    following file symlinks but not directory symlinks, as `Path.rglob`."""
+    with os.scandir(top) as entries:
+        for entry in entries:
+            sub = rel + os.sep + entry.name
+            if entry.is_dir(follow_symlinks=False):
+                _walk(entry.path, sub, files)
+            elif entry.is_file():
+                files[sub] = entry.path
 
 
 class Pipeline:
@@ -51,6 +57,8 @@ class Pipeline:
         self.root = Path(out_root)
         self.jobs = max(1, jobs)
         self._log = log if log is not None else (lambda msg: print(msg, flush=True))
+        self._fingerprint = config.fingerprint()
+        self._digests = {}  # file path -> sha256; emptied whenever a stage runs
 
     def log(self, stage: str, message: str) -> None:
         self._log(f"[{stage}] {message}")
@@ -60,18 +68,35 @@ class Pipeline:
     def _state_path(self, stage: str) -> Path:
         return self.root / "state" / f"{stage}.json"
 
+    def _expand(self, paths) -> dict:
+        """{path relative to the root: path} of every existing file among
+        `paths`, directories expanded recursively."""
+        files = {}
+        for path in paths:
+            rel = str(Path(path).relative_to(self.root))
+            path = str(path)
+            if os.path.isdir(path):
+                _walk(path, rel, files)
+            elif os.path.exists(path):
+                files[rel] = path
+        return files
+
     def _tree_hashes(self, paths) -> dict:
-        return {
-            str(p.relative_to(self.root)): _hash_file(p)
-            for p in _expand(paths)
-        }
+        digests = self._digests
+        out = {}
+        for rel, path in self._expand(paths).items():
+            digest = digests.get(path)
+            if digest is None:
+                digest = digests[path] = _hash_file(path)
+            out[rel] = digest
+        return out
 
     def stage_cached(self, stage: str, watched) -> bool:
         state_path = self._state_path(stage)
         if not state_path.exists():
             return False
         state = json.loads(state_path.read_text())
-        if state.get("config") != self.cfg.fingerprint():
+        if state.get("config") != self._fingerprint:
             return False
         recorded = state.get("files", {})
         if not recorded:
@@ -80,18 +105,24 @@ class Pipeline:
         return current == recorded
 
     def record_stage(self, stage: str, watched) -> None:
-        state = {"config": self.cfg.fingerprint(), "files": self._tree_hashes(watched)}
+        state = {"config": self._fingerprint, "files": self._tree_hashes(watched)}
         path = self._state_path(stage)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(state, sort_keys=True, separators=(",", ":")) + "\n")
 
     def run_stage(self, stage: str, watched, fn) -> bool:
-        """Returns True when the stage ran, False when its cache was fresh."""
+        """Returns True when the stage ran, False when its cache was fresh.
+        A stage that runs may rewrite any file, so the digests kept so far
+        are dropped before and after its work."""
         if self.stage_cached(stage, watched):
             self.log(stage, "skipped (outputs up to date)")
             return False
         self.log(stage, "running")
-        fn()
+        self._digests.clear()
+        try:
+            fn()
+        finally:
+            self._digests.clear()
         self.record_stage(stage, watched)
         self.log(stage, "done")
         return True
@@ -471,14 +502,9 @@ class Pipeline:
 
     def _write_checksums(self) -> None:
         artifact_dirs = ["audio", "manifests", "checkpoints", "scores", "reports"]
-        checks = {}
-        for name in artifact_dirs:
-            base = self.root / name
-            if not base.is_dir():
-                continue
-            for path in sorted(base.rglob("*")):
-                if path.is_file() and path.name != "checksums.json":
-                    checks[str(path.relative_to(self.root))] = _hash_file(path)
+        files = self._expand([self.root / name for name in artifact_dirs])
+        checks = {rel: _hash_file(path) for rel, path in files.items()
+                  if os.path.basename(rel) != "checksums.json"}
         out = self.root / "reports" / "checksums.json"
         out.write_text(json.dumps(checks, sort_keys=True, indent=1) + "\n")
 

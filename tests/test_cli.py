@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import shutil
@@ -235,6 +236,79 @@ class TestBankLoading:
         assert cli.main(["--config", trained_bank[0], "--out", out, "evaluate"]) == 2
         err = capsys.readouterr().err
         assert "ase_T1.json" in err and "fusion binding" in err
+
+
+def counting_hashes(monkeypatch) -> Counter:
+    """Count every `cli._hash_file` call by the path it hashes."""
+    hashed = Counter()
+    original = cli._hash_file
+
+    def counting(path):
+        hashed[str(path)] += 1
+        return original(path)
+
+    monkeypatch.setattr(cli, "_hash_file", counting)
+    return hashed
+
+
+def sha256_file(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestStageCache:
+    def test_rewrite_by_a_running_stage_is_seen(self, tmp_path, monkeypatch):
+        root = tmp_path / "out"
+        config = validate_config(micro_config(root))
+        shared = root / "shared.bin"
+        shared.parent.mkdir(parents=True)
+        shared.write_bytes(b"old")
+        first = cli.Pipeline(config, root, log=lambda msg: None)
+        assert first.run_stage("reader-a", [shared], lambda: None)
+        assert first.run_stage("reader-c", [shared], lambda: None)
+
+        hashed = counting_hashes(monkeypatch)
+        pipe = cli.Pipeline(config, root, log=lambda msg: None)
+        assert pipe.stage_cached("reader-a", [shared])
+        assert hashed[str(shared)] == 1  # the digest of b"old" is kept
+        assert pipe.run_stage("writer-b", [root / "b.out"],
+                              lambda: shared.write_bytes(b"new"))
+        # reader-c recorded b"old": the kept digest must not stand in for the file
+        assert pipe.run_stage("reader-c", [shared], lambda: None)
+        assert json.loads((root / "state" / "reader-c.json").read_text())["files"] == {
+            "shared.bin": sha256_file(shared)
+        }
+
+    def test_state_format_is_pinned(self, trained_bank):
+        """`state/<stage>.json` is canonical JSON of the config fingerprint and
+        the sha256 of every watched file, so roots cached by earlier versions
+        keep skipping."""
+        config_path, root = trained_bank
+        config = validate_config(config_path)
+        fingerprint = hashlib.sha256(json.dumps(
+            asdict(config), sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+        watched = [root / "manifests" / "T0.jsonl"] + [
+            p for p in (root / "audio" / "T0").rglob("*") if p.is_file()
+        ]
+        files = {str(p.relative_to(root)): sha256_file(p) for p in watched}
+        assert len(files) > 1
+        expected = json.dumps({"config": fingerprint, "files": files},
+                              sort_keys=True, separators=(",", ":")) + "\n"
+        assert (root / "state" / "synth.json").read_text() == expected
+
+    def test_rerun_hashes_each_watched_file_once(self, trained_bank, tmp_path, monkeypatch,
+                                                 capsys):
+        out = copy_root(trained_bank, tmp_path)
+        args = ["--config", trained_bank[0], "--out", str(out), "reproduce"]
+        assert cli.main(args) == 0  # evaluate and report run
+        capsys.readouterr()
+        hashed = counting_hashes(monkeypatch)
+        assert cli.main(args) == 0
+        assert "running" not in capsys.readouterr().out
+        watched = set()
+        for state in (out / "state").glob("*.json"):
+            watched.update(str(out / rel) for rel in json.loads(state.read_text())["files"])
+        assert set(hashed) == watched
+        assert set(hashed.values()) == {1}
 
 
 @pytest.mark.slow
