@@ -93,7 +93,11 @@ class LoraAdapter:
 
     @property
     def scale(self) -> float:
-        return self.alpha / self.rank if self.scale_mode == SCALE_ALPHA_OVER_R else self.alpha
+        return lora_scale(self.alpha, self.rank, self.scale_mode)
+
+
+def lora_scale(alpha: float, rank: int, scale_mode: str) -> float:
+    return alpha / rank if scale_mode == SCALE_ALPHA_OVER_R else alpha
 
 
 def lora_merged_weight(w0: np.ndarray, adapter: LoraAdapter) -> np.ndarray:
@@ -264,19 +268,23 @@ def encoder_forward(model: ExpertModel, feats: np.ndarray, layer0=None) -> np.nd
     (x@W0, x@A0) as `bank_forward` shares them, or (x@W0, None), in which
     case x@A0 is taken here when the model has adapters.
     """
+    tensors = model.tensors
+    scale = None
+    if model.has_adapters:
+        meta = model.lora_meta
+        scale = lora_scale(meta["alpha"], meta["rank"], meta["scale_mode"])
     h = feats
     for i in range(model.n_layers):
-        adapter = model.adapter(i) if model.has_adapters else None
         if i == 0 and layer0 is not None:
             base, xa = layer0
         else:
-            base = tc.matmul_values(h, model.tensors[f"enc.w{i}"])
+            base = tc.matmul_values(h, tensors[f"enc.w{i}"])
             xa = None
-        if adapter is not None and xa is None:
-            xa = tc.matmul_values(h, adapter.a)
-        pre = base + model.tensors[f"enc.b{i}"]
-        if adapter is not None:
-            pre = pre + tc.matmul_values(xa, adapter.b) * adapter.scale
+        pre = base + tensors[f"enc.b{i}"]
+        if scale is not None:
+            if xa is None:
+                xa = tc.matmul_values(h, tensors[f"lora.a{i}"])
+            pre = pre + tc.matmul_values(xa, tensors[f"lora.b{i}"]) * scale
         h = np.tanh(pre)
     return h
 
@@ -389,7 +397,7 @@ def encoder_forward_nodes(model, leaves, feats, dropout_rngs=None, layer0=None) 
                 x_in = tc.mul(h, tc.constant(mask))
             xa = tc.matmul(x_in, leaves[f"lora.a{i}"], frames)
             delta = tc.matmul(xa, leaves[f"lora.b{i}"], frames)
-            scale = meta["alpha"] / meta["rank"] if meta["scale_mode"] == SCALE_ALPHA_OVER_R else meta["alpha"]
+            scale = lora_scale(meta["alpha"], meta["rank"], meta["scale_mode"])
             pre = tc.add(pre, tc.scale(delta, scale))
         h = tc.tanh(pre)
     return h
@@ -630,10 +638,6 @@ def _canonical_json(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def _payload_checksum(payload: dict) -> str:
-    return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
-
-
 def _write_payload(payload: dict, path) -> str:
     """Write `payload` plus its content checksum as canonical JSON; returns
     the checksum. Each top-level value is serialized once: the canonical text
@@ -650,12 +654,27 @@ def _write_payload(payload: dict, path) -> str:
 
 
 def _read_payload(path, expected_format: str) -> dict:
-    payload = json.loads(Path(path).read_text())
+    """Parse a checkpoint and verify it from its own bytes: the file must be
+    exactly what `_write_payload` writes. The top-level checksum member sits
+    at its sorted key position, after the members whose keys sort before
+    "checksum" (short ones); the text without that member, its comma and the
+    final newline must hash to the stored checksum."""
+    data = Path(path).read_text().encode()
+    payload = json.loads(data)
     if payload.get("format") != expected_format:
         raise CheckpointError(f"{path}: expected {expected_format}, got {payload.get('format')!r}")
     stored = payload.get("checksum")
-    actual = _payload_checksum({k: v for k, v in payload.items() if k != "checksum"})
-    if stored != actual:
+    before = [f"{json.dumps(key)}:{_canonical_json(payload[key])}"
+              for key in sorted(payload) if key < "checksum"]
+    prefix = ("{" + ",".join(before)).encode()
+    signed = prefix + (b"," if before else b"") + f'"checksum":{json.dumps(stored)}'.encode()
+    end = len(signed)
+    if not before and data[end:end + 1] == b",":
+        end += 1  # the member came first: drop the comma after it
+    digest = hashlib.sha256(prefix)
+    digest.update(memoryview(data)[end:-1])
+    if (not data.startswith(signed) or not data.endswith(b"}\n")
+            or digest.hexdigest() != stored):
         raise CheckpointError(f"{path}: content checksum mismatch")
     return payload
 

@@ -70,11 +70,6 @@ def as_matrix(x) -> np.ndarray:
     return arr
 
 
-def row(values) -> np.ndarray:
-    """A 1xN matrix view of a vector-like input."""
-    return as_matrix(values).reshape(1, -1)
-
-
 def row_segments(counts) -> tuple:
     """Row slices of consecutive blocks holding `counts` rows each."""
     out = []

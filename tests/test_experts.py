@@ -1,3 +1,4 @@
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -572,6 +573,29 @@ class TestCheckpoints:
         path.write_text(text)
         with pytest.raises(ex.CheckpointError, match="checksum"):
             ex.load_expert_checkpoint(path)
+
+    def test_only_the_written_bytes_load(self, tmp_path):
+        """A checkpoint is verified from its own text, so every byte counts:
+        a changed value, a reformatted copy that keeps the stored checksum and
+        a missing final newline are all rejected."""
+        base = ex.new_expert(ENC, 18)
+        injected = ex.lora_inject(base, 2, 8.0, 0.0, seed=19)
+        for save, load in (
+            (ex.save_expert_checkpoint, ex.load_expert_checkpoint),
+            (ex.save_adapter_checkpoint, lambda path: ex.load_adapter_checkpoint(path, base)),
+        ):
+            path = tmp_path / "ckpt.json"
+            checksum = save(injected, path)
+            text = path.read_text()
+            assert load(path)[1] == checksum
+            payload = json.loads(text)
+            payload["tensors"]["head.b"]["data"][0] += 1.0
+            changed = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+            pretty = json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n"
+            for bad in (changed, pretty, text[:-1], text + "\n"):
+                path.write_text(bad)
+                with pytest.raises(ex.CheckpointError, match="checksum"):
+                    load(path)
 
     def test_adapter_requires_adapters(self, tmp_path):
         with pytest.raises(ex.CheckpointError):
