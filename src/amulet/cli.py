@@ -3,9 +3,19 @@
 Stages are idempotent: each records a fingerprint of the resolved config plus
 content hashes of everything it read and wrote, and is skipped when nothing
 changed. Within one `Pipeline` (one command), each watched file is hashed at
-most once: its sha256 is kept in memory until a stage runs, and every stage
-that runs drops all kept digests before and after its work. Nothing of it is
-stored, so every command hashes every file it watches again.
+most once: its sha256 is kept in memory until stages run. Stages run in
+batches (`Pipeline.run_stages`); all kept digests are dropped before a batch
+runs, before each of its stages is recorded and after the batch, since a
+stage that runs may rewrite any file. Nothing of it is stored, so every
+command hashes every file it watches again.
+
+Independent work runs on `--jobs` forked worker processes
+(`Pipeline._map`): the attack-specific experts, the fusion heads and the
+per-condition scoring. Workers inherit what the parent loaded, buffer their
+log lines and hand them back with their results; the parent replays them,
+records stages and writes scores in submission order, so outputs and logs
+are those of `--jobs 1`.
+
 `reproduce` chains synth, attacks, expert and fusion training, scoring, and
 reporting, ending with a checksum manifest over every artifact.
 
@@ -18,6 +28,8 @@ import hashlib
 import json
 import os
 import sys
+import traceback
+from contextlib import closing
 from dataclasses import asdict
 from pathlib import Path
 
@@ -25,6 +37,7 @@ import numpy as np
 
 from . import attacks, corpus, fusion, metrics
 from . import experts as ex
+from .audio import AudioError
 from .config import ConfigError, ExperimentConfig, validate_config
 from .experts import CheckpointError, FrozenContractError
 from .tensor import GraphError, NonFiniteError
@@ -49,6 +62,27 @@ def _walk(top: str, rel: str, files: dict) -> None:
                 _walk(entry.path, sub, files)
             elif entry.is_file():
                 files[sub] = entry.path
+
+
+# (pipeline, thunks) of the batch a worker pool runs. `_map` sets it before
+# the pool forks and clears it after: closures do not pickle, so workers
+# inherit the thunks and receive only an index.
+_batch = None
+
+
+def _run_forked(index: int) -> tuple:
+    """Run thunk `index` of the inherited batch with the pipeline's log
+    lines buffered. Returns (lines, result, None), or (lines, None,
+    (exception, formatted traceback)) when the thunk raised."""
+    pipeline, thunks = _batch
+    lines = []
+    sink, pipeline._log = pipeline._log, lines.append
+    try:
+        return lines, thunks[index](), None
+    except Exception as exc:  # re-raised in the parent, after the lines
+        return lines, None, (exc, traceback.format_exc())
+    finally:
+        pipeline._log = sink
 
 
 class Pipeline:
@@ -111,21 +145,86 @@ class Pipeline:
         path.write_text(json.dumps(state, sort_keys=True, separators=(",", ":")) + "\n")
 
     def run_stage(self, stage: str, watched, fn) -> bool:
-        """Returns True when the stage ran, False when its cache was fresh.
-        A stage that runs may rewrite any file, so the digests kept so far
-        are dropped before and after its work."""
-        if self.stage_cached(stage, watched):
-            self.log(stage, "skipped (outputs up to date)")
-            return False
-        self.log(stage, "running")
+        """Returns True when the stage ran, False when its cache was fresh."""
+        return self.run_stages([(stage, watched, fn)])[0]
+
+    def run_stages(self, stages, prepare=None) -> list:
+        """Run the stale ones of `stages`, (name, watched, fn) triples, on up
+        to `jobs` workers. Returns, per stage, True when it ran.
+
+        Every cache is checked first; `prepare` is called once, in this
+        process, when some stage is stale, so that its work is shared by the
+        stages (and inherited by the workers). Each stage is logged and
+        recorded here, in order, as its result arrives. The stages of one
+        batch must be independent: no stage may write a file that another
+        stage of the batch watches, since they run concurrently. Any of
+        them may rewrite other files, so the digests kept so far are dropped
+        before the batch, before each record and after the batch."""
+        stale = [not self.stage_cached(name, watched) for name, watched, _ in stages]
+        if not any(stale):
+            for name, _, _ in stages:
+                self.log(name, "skipped (outputs up to date)")
+            return stale
+        if prepare is not None:
+            prepare()
+        thunks = [self._stage_thunk(name, fn)
+                  for (name, _, fn), run in zip(stages, stale) if run]
         self._digests.clear()
         try:
-            fn()
+            with closing(self._map(thunks)) as results:
+                for (name, watched, _), run in zip(stages, stale):
+                    if not run:
+                        self.log(name, "skipped (outputs up to date)")
+                        continue
+                    next(results)
+                    self._digests.clear()
+                    self.record_stage(name, watched)
+                    self.log(name, "done")
         finally:
             self._digests.clear()
-        self.record_stage(stage, watched)
-        self.log(stage, "done")
-        return True
+        return stale
+
+    def _stage_thunk(self, name: str, fn):
+        def run():
+            self.log(name, "running")
+            fn()
+        return run
+
+    def _map(self, thunks):
+        """Yield each thunk's result, in order. With one job or one thunk they
+        run here, one after another. Otherwise `min(jobs, len(thunks))`
+        forked workers run them; each thunk's log lines are replayed here
+        before its result is yielded, and its exception is re-raised here
+        with its type. Workers are never nested, and none outlives the
+        generator: pending thunks are cancelled and running ones awaited."""
+        global _batch
+        if self.jobs == 1 or len(thunks) <= 1:
+            for thunk in thunks:
+                yield thunk()
+            return
+        if _batch is not None:
+            raise RuntimeError("a worker pool cannot start inside another one's batch")
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        sys.stdout.flush()  # a forked worker would write buffered output again
+        sys.stderr.flush()
+        pool = ProcessPoolExecutor(min(self.jobs, len(thunks)),
+                                   mp_context=multiprocessing.get_context("fork"))
+        try:
+            _batch = (self, thunks)  # before the first submit forks the workers
+            futures = [pool.submit(_run_forked, i) for i in range(len(thunks))]
+            for future in futures:
+                lines, result, failure = future.result()
+                for line in lines:
+                    self._log(line)
+                if failure is not None:
+                    exc, remote = failure
+                    raise exc from RuntimeError(f"in a worker process:\n{remote}")
+                yield result
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+            _batch = None
 
     # --- artifact paths ------------------------------------------------------
 
@@ -243,7 +342,12 @@ class Pipeline:
     def train_ase(self, only_condition: str | None = None) -> None:
         roster = self._roster_items(only_condition)
         base_path = self.load_expert("e0")
-        loaded = {}  # E0, parsed and verified by the first stage that runs
+        loaded = {}
+
+        def prepare():
+            loaded["base"], _ = ex.load_expert_checkpoint(base_path)
+
+        stages = []
         for expert_id, condition in roster:
             manifest = self.load_manifest(condition)
             stage = f"train-ase-{condition}"
@@ -254,9 +358,7 @@ class Pipeline:
                 self.ckpt_path(f"ase_{condition}"),
             ]
 
-            def fn(condition=condition, manifest=manifest):
-                if not loaded:
-                    loaded["base"], _ = ex.load_expert_checkpoint(base_path)
+            def fn(condition=condition, manifest=manifest, stage=stage):
                 model, _ = ex.train_ase(
                     loaded["base"],
                     condition,
@@ -273,7 +375,8 @@ class Pipeline:
                 )
                 ex.save_adapter_checkpoint(model, self.ckpt_path(f"ase_{condition}"))
 
-            self.run_stage(stage, watched, fn)
+            stages.append((stage, watched, fn))
+        self.run_stages(stages, prepare)
 
     def _load_bank(self) -> tuple:
         """Parse and verify each expert checkpoint once. Returns the bank
@@ -294,7 +397,7 @@ class Pipeline:
         refs = [(str(p.relative_to(self.root)), c) for p, c in zip(paths, checksums)]
         return bank, refs
 
-    def _fusion_data(self, system) -> tuple:
+    def _fusion_data(self, bank) -> tuple:
         """(features, labels) of the fusion subset and of every dev split,
         with one `fusion.expert_features` list per clip."""
         manifests = [self.load_manifest("T0")]
@@ -306,7 +409,7 @@ class Pipeline:
         dev_entries = [e for manifest in manifests for e in manifest.split("dev")]
 
         def features(entries):
-            return ([fusion.expert_features(system, corpus.resolve_clip(e, self.root))
+            return ([fusion.expert_features(bank, corpus.resolve_clip(e, self.root))
                      for e in entries], [e.label for e in entries])
 
         return features(subset.entries), features(dev_entries)
@@ -324,21 +427,23 @@ class Pipeline:
         manifest_paths = [self.manifest_path("T0")] + [
             self.manifest_path(c) for c in self.cfg.train_conditions
         ]
-        loaded = {}  # bank, refs and fusion data, filled by the first stage that runs
+        loaded = {}
+
+        def prepare():
+            loaded["bank"], loaded["refs"] = self._load_bank()
+            loaded["data"] = self._fusion_data(loaded["bank"])
+
+        stages = []
         for k in k_values:
             stage = f"train-fusion-top{k}"
             out_path = self.ckpt_path(f"fusion_top{k}")
             watched = expert_paths + manifest_paths + [out_path]
 
             def fn(k=k, out_path=out_path, stage=stage):
-                if not loaded:
-                    loaded["bank"], loaded["refs"] = self._load_bank()
                 system = fusion.FusionSystem(
                     loaded["bank"], k, renormalize=self.cfg.renormalize,
                     seed=corpus.stable_seed(self.cfg.seeds["fusion"], "init", k),
                 )
-                if "data" not in loaded:
-                    loaded["data"] = self._fusion_data(system)
                 fusion.train_fusion(
                     system, *loaded["data"], self.cfg.fusion_train,
                     corpus.stable_seed(self.cfg.seeds["fusion"], "train", k),
@@ -346,7 +451,8 @@ class Pipeline:
                 )
                 fusion.save_fusion_checkpoint(system, out_path, loaded["refs"])
 
-            self.run_stage(stage, watched, fn)
+            stages.append((stage, watched, fn))
+        self.run_stages(stages, prepare)
 
     # --- evaluation ------------------------------------------------------------
 
@@ -381,36 +487,42 @@ class Pipeline:
 
         def fn():
             bank, fused = self._systems()
-            expert_names = ["E0"] + self.cfg.expert_ids
-            for condition in conditions:
-                manifest = self.load_manifest(condition)
-                entries = sorted(manifest.split("eval"), key=lambda e: e.clip_id)
-                if not entries:
-                    raise MissingArtifactError(f"{condition}: no eval entries to score")
-                buckets = {name: ([], []) for name in self.system_names()}
-                for entry in entries:
-                    clip = corpus.resolve_clip(entry, self.root)
-                    feats = ex.frame_features(clip, bank[0].cfg)
-                    z_all = ex.bank_forward(bank, feats)
-                    slot = 0 if entry.label == "bonafide" else 1
-                    logit_rows = []
-                    for name, model, z in zip(expert_names, bank, z_all):
-                        logits = ex.head_logits(model, z)
-                        logit_rows.append(logits[0])
-                        buckets[name][slot].append(float(logits[0, 0] - logits[0, 1]))
-                    mean_logits = fusion.ensemble_logits(logit_rows)
-                    buckets["ensemble"][slot].append(float(mean_logits[0] - mean_logits[1]))
-                    for fname, system in fused.items():
-                        _, logits = fusion.fused_logits(system, z_all)
-                        buckets[fname][slot].append(float(logits[0, 0] - logits[0, 1]))
+            thunks = [lambda c=c: self._score_condition(bank, fused, c) for c in conditions]
+            for condition, (n_clips, buckets) in zip(conditions, list(self._map(thunks))):
                 for name, (bona, spoof) in buckets.items():
                     scores = metrics.ScoreSet(bona, spoof, condition, name)
                     path = self.score_path(name, condition)
                     path.parent.mkdir(parents=True, exist_ok=True)
                     metrics.save_scores(scores, path)
-                self.log("evaluate", f"scored {condition} ({len(entries)} clips)")
+                self.log("evaluate", f"scored {condition} ({n_clips} clips)")
 
         self.run_stage("evaluate", watched, fn)
+
+    def _score_condition(self, bank, fused, condition: str) -> tuple:
+        """Score every eval clip of `condition` with every system. Returns
+        the clip count and {system: (bona-fide scores, spoof scores)}."""
+        manifest = self.load_manifest(condition)
+        entries = sorted(manifest.split("eval"), key=lambda e: e.clip_id)
+        if not entries:
+            raise MissingArtifactError(f"{condition}: no eval entries to score")
+        expert_names = ["E0"] + self.cfg.expert_ids
+        buckets = {name: ([], []) for name in self.system_names()}
+        for entry in entries:
+            clip = corpus.resolve_clip(entry, self.root)
+            feats = ex.frame_features(clip, bank[0].cfg)
+            z_all = ex.bank_forward(bank, feats)
+            slot = 0 if entry.label == "bonafide" else 1
+            logit_rows = []
+            for name, model, z in zip(expert_names, bank, z_all):
+                logits = ex.head_logits(model, z)
+                logit_rows.append(logits[0])
+                buckets[name][slot].append(float(logits[0, 0] - logits[0, 1]))
+            mean_logits = fusion.ensemble_logits(logit_rows)
+            buckets["ensemble"][slot].append(float(mean_logits[0] - mean_logits[1]))
+            for fname, system in fused.items():
+                _, logits = fusion.fused_logits(system, z_all)
+                buckets[fname][slot].append(float(logits[0, 0] - logits[0, 1]))
+        return len(entries), buckets
 
     # --- reporting ---------------------------------------------------------------
 
@@ -534,7 +646,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="path to a JSON config, or 'default' for the built-in defaults "
                              "(print them with validate-config)")
     parser.add_argument("--out", default=None, help="output root (overrides config and AMULET_OUT)")
-    parser.add_argument("--jobs", type=int, default=1, help="worker cap for clip-level stages")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes for the attack-specific experts, the fusion "
+                             "heads and the eval conditions, with outputs and logs identical "
+                             "to --jobs 1; attack uses as many clip threads")
     parser.add_argument("--seed-override", type=int, default=None,
                         help="replace all three stage seeds with values derived from this one")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -603,7 +718,7 @@ def main(argv=None) -> int:
             print(f"config error: {error}", file=sys.stderr)
         return 1
     except (MissingArtifactError, corpus.ManifestError, attacks.AttackError,
-            metrics.ScoreSetError, FileNotFoundError) as exc:
+            metrics.ScoreSetError, AudioError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (FrozenContractError, NonFiniteError, GraphError, CheckpointError) as exc:

@@ -37,6 +37,9 @@ class ConfigError(ValueError):
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))
 
+    def __reduce__(self):  # pickle the list, not the joined message
+        return type(self), (self.errors,)
+
 
 @dataclass
 class ExperimentConfig:

@@ -151,8 +151,9 @@ def head_forward(z_moe: np.ndarray, params: dict) -> np.ndarray:
     return tc.matmul_values(hidden, params["cls.w2"]) + params["cls.b2"]
 
 
-def expert_features(system: FusionSystem, clip: AudioClip) -> list:
-    return bank_forward(system.experts, frame_features(clip, system.experts[0].cfg))
+def expert_features(experts, clip: AudioClip) -> list:
+    """Each expert's features of one clip; `experts` is the bank [E0, E1..En]."""
+    return bank_forward(experts, frame_features(clip, experts[0].cfg))
 
 
 def fused_logits(system: FusionSystem, z_all):

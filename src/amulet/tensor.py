@@ -381,15 +381,6 @@ def log_shift(a: Node, eps: float) -> Node:
     return Node(value, (a,), "log_shift", push=push)
 
 
-def sum_all(a: Node) -> Node:
-    value = np.array([[float(a.value.sum())]])
-
-    def push(g):
-        _acc(a, np.full_like(a.value, g[0, 0]))
-
-    return Node(value, (a,), "sum_all", push=push)
-
-
 def softmax_rows(a: Node) -> Node:
     value = softmax_values(a.value)
 

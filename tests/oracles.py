@@ -176,6 +176,16 @@ def transpose(a):
     return tc.Node(a.value.T.copy(), (a,), "transpose", push=push)
 
 
+def sum_all(a):
+    """The sum of every element of a node, as a 1x1 node."""
+    value = np.array([[float(a.value.sum())]])
+
+    def push(g):
+        tc._acc(a, np.full_like(a.value, g[0, 0]))
+
+    return tc.Node(value, (a,), "sum_all", push=push)
+
+
 def expert_clip_loss(model, leaves, feats, label, dropout_rng=None, layer0=None):
     """One clip's expert loss graph; `layer0` is the clip's x@W0 or None."""
     h = tc.constant(feats)

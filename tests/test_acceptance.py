@@ -280,7 +280,7 @@ class TestCriterion6FrozenContract:
         system = fu.FusionSystem(bank, k=1, seed=64)
         before = [ex.full_checksum(e) for e in bank]
         train_set, dev_set = (
-            ([fu.expert_features(system, cp.resolve_clip(e, tmp_path)) for e in entries],
+            ([fu.expert_features(system.experts, cp.resolve_clip(e, tmp_path)) for e in entries],
              [e.label for e in entries])
             for entries in (manifest.split("train"), manifest.split("dev"))
         )

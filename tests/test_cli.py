@@ -1,6 +1,9 @@
+import concurrent.futures
 import hashlib
 import importlib.util
 import json
+import multiprocessing
+import pickle
 import shutil
 from collections import Counter
 from dataclasses import asdict
@@ -106,6 +109,13 @@ class TestValidateConfig:
         path = write_config(tmp_path, raw)
         assert cli.main(["--config", path, "validate-config"]) == 1
         assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_config_error_survives_pickling(self):
+        # worker exceptions reach the parent pickled
+        copy = pickle.loads(pickle.dumps(ConfigError(["a", "b"])))
+        assert type(copy) is ConfigError
+        assert copy.errors == ["a", "b"]
+        assert str(copy) == "a; b"
 
     def test_missing_file(self, capsys):
         assert cli.main(["--config", "/nonexistent.json", "validate-config"]) == 1
@@ -223,6 +233,19 @@ class TestBankLoading:
         assert cli.main(args) == 0  # every stage skips
         assert parsed["e0.json"] == 0
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_malformed_eval_wav_is_user_error(self, trained_bank, tmp_path, capsys, jobs):
+        out = copy_root(trained_bank, tmp_path)
+        lines = (out / "manifests" / "T3.jsonl").read_text().splitlines()
+        entry = next(e for e in map(json.loads, lines) if e["split"] == "eval")
+        (out / entry["path"]).write_bytes(b"not a wav file")
+        capsys.readouterr()
+        args = ["--config", trained_bank[0], "--out", str(out), "--jobs", str(jobs), "evaluate"]
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "malformed WAV" in err and entry["path"] in err
+        assert multiprocessing.active_children() == []
+
     def test_rewritten_adapter_breaks_fusion_binding(self, trained_bank, tmp_path, capsys):
         ckpts = copy_root(trained_bank, tmp_path) / "checkpoints"
         base, _ = ex.load_expert_checkpoint(ckpts / "e0.json")
@@ -311,6 +334,68 @@ class TestStageCache:
         assert set(hashed.values()) == {1}
 
 
+class InlinePool:
+    """Stands in for `ProcessPoolExecutor`: records its size and start
+    method, and runs each task in this process when it is submitted."""
+
+    def __init__(self, created, max_workers, mp_context):
+        created.append((max_workers, mp_context.get_start_method()))
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait, cancel_futures):
+        pass
+
+
+class TestRunStages:
+    def fake_stages(self, root, ran):
+        stages = []
+        for i in range(5):
+            out = root / f"s{i}.out"
+
+            def fn(i=i, out=out):
+                ran.append(i)
+                out.write_text(f"stage {i}")
+
+            stages.append((f"fake-{i}", [out], fn))
+        return stages
+
+    @pytest.mark.parametrize("jobs", [1, 64])
+    def test_only_stale_stages_run(self, tmp_path, monkeypatch, jobs):
+        root = tmp_path / "out"
+        root.mkdir()
+        config = validate_config(micro_config(root))
+        created = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda *args, **kw: InlinePool(created, *args, **kw))
+        ran, prepared, lines = [], [], []
+        stages = self.fake_stages(root, ran)
+        warm = cli.Pipeline(config, root, log=lambda msg: None)
+        assert warm.run_stages([stages[1], stages[3]]) == [True, True]
+        ran.clear()
+
+        pipe = cli.Pipeline(config, root, jobs=jobs, log=lines.append)
+        assert pipe.run_stages(stages, lambda: prepared.append(1)) == [
+            True, False, True, False, True]
+        assert ran == [0, 2, 4] and prepared == [1]
+        assert created == ([] if jobs == 1 else [(3, "fork")])  # min(jobs, stale stages)
+        assert lines == [
+            "[fake-0] running", "[fake-0] done", "[fake-1] skipped (outputs up to date)",
+            "[fake-2] running", "[fake-2] done", "[fake-3] skipped (outputs up to date)",
+            "[fake-4] running", "[fake-4] done",
+        ]
+        fresh = cli.Pipeline(config, root, log=lambda msg: None)
+        assert all(fresh.stage_cached(name, watched) for name, watched, _ in stages)
+
+        ran.clear()
+        assert pipe.run_stages(stages, lambda: prepared.append(1)) == [False] * 5
+        assert ran == [] and prepared == [1]
+        assert len(created) == (0 if jobs == 1 else 1)
+
+
 @pytest.mark.slow
 class TestReproduce:
     def test_micro_end_to_end_and_idempotence(self, tmp_path, capsys):
@@ -344,9 +429,18 @@ class TestReproduce:
         assert (reports / "checksums.json").read_bytes() == checks_before
 
         # the same experiment in a fresh root with two workers: byte-identical
+        # outputs, and the same log apart from the resolved config
         jobs2 = tmp_path / "jobs2"
         assert cli.main(["--config", path, "--out", str(jobs2), "--jobs", "2", "reproduce"]) == 0
         assert (jobs2 / "reports" / "checksums.json").read_bytes() == checks_before
+        assert multiprocessing.active_children() == []
+
+        def log_lines(text):
+            return [line for line in text.splitlines() if not line.startswith("[config]")]
+
+        jobs2_out = capsys.readouterr().out
+        assert "[train-ase-T3] running" in jobs2_out
+        assert log_lines(jobs2_out) == log_lines(first_out)
 
     def test_corrupted_checkpoint_is_invariant_violation(self, tmp_path, capsys):
         out = tmp_path / "out"

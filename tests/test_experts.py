@@ -15,6 +15,7 @@ from oracles import (
     fit_per_clip,
     mean_of_clip_losses,
     relative_error,
+    sum_all,
 )
 
 TINY = cp.SynthConfig(n_train=24, n_dev=8, n_eval=6)
@@ -421,7 +422,7 @@ class TestFit:
 
         def batch_loss(leaves, xs, labels, rngs):
             assert len(xs) == len(labels) == len(rngs)
-            total = tc.sum_all(tc.matmul(tc.constant(np.concatenate(xs)), leaves["w"]))
+            total = sum_all(tc.matmul(tc.constant(np.concatenate(xs)), leaves["w"]))
             return tc.scale(total, 1.0 / len(xs))
 
         def epoch_eer():

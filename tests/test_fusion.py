@@ -49,12 +49,12 @@ def synth_entries(n=8, condition="T0"):
 
 def feature_set(system, entries):
     """(features, labels) of synthesized entries, as `train_fusion` takes them."""
-    return ([fu.expert_features(system, cp.resolve_clip(e, ".")) for e in entries],
+    return ([fu.expert_features(system.experts, cp.resolve_clip(e, ".")) for e in entries],
             [e.label for e in entries])
 
 
 def score(system, clip) -> float:
-    _, logits = fu.fused_logits(system, fu.expert_features(system, clip))
+    _, logits = fu.fused_logits(system, fu.expert_features(system.experts, clip))
     return float(logits[0, 0] - logits[0, 1])
 
 

@@ -14,6 +14,7 @@ from oracles import (
     relative_error,
     smul,
     srecip,
+    sum_all,
     transpose,
 )
 
@@ -186,7 +187,7 @@ class TestBackward:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((3, 4))
         w = tc.leaf(rng.standard_normal((4, 2)), requires_grad=True)
-        out = tc.sum_all(tc.matmul(tc.constant(x), w))
+        out = sum_all(tc.matmul(tc.constant(x), w))
         tc.backward(out)
         expected = tc.matmul_values(x.T, np.ones((3, 2)))
         assert np.allclose(w.grad, expected, atol=1e-12)
@@ -195,8 +196,8 @@ class TestBackward:
         rng = np.random.default_rng(1)
         frozen = tc.leaf(rng.standard_normal((4, 2)), requires_grad=False)
         free = tc.leaf(rng.standard_normal((4, 2)), requires_grad=True)
-        out = tc.sum_all(tc.add(tc.matmul(tc.constant(rng.standard_normal((3, 4))), frozen),
-                                tc.matmul(tc.constant(rng.standard_normal((3, 4))), free)))
+        out = sum_all(tc.add(tc.matmul(tc.constant(rng.standard_normal((3, 4))), frozen),
+                             tc.matmul(tc.constant(rng.standard_normal((3, 4))), free)))
         tc.backward(out)
         assert np.array_equal(frozen.grad, np.zeros((4, 2)))
         assert np.any(free.grad != 0)
@@ -205,7 +206,7 @@ class TestBackward:
         rng = np.random.default_rng(5)
         x = tc.leaf(rng.standard_normal((3, 4)), requires_grad=True)
         w = tc.leaf(rng.standard_normal((4, 2)), requires_grad=False)
-        out = tc.sum_all(tc.matmul(x, w))
+        out = sum_all(tc.matmul(x, w))
         calls = []
         real = tc.matmul_values
 
@@ -227,7 +228,7 @@ class TestBackward:
         # both parents of each add receive the same incoming array, and p's
         # buffer takes a second gradient after q's was filled
         p, q = tc.scale(w, 3.0), tc.scale(w, 5.0)
-        out = tc.add(tc.sum_all(tc.matmul(x, frozen)), tc.add(tc.add(p, q), p))
+        out = tc.add(sum_all(tc.matmul(x, frozen)), tc.add(tc.add(p, q), p))
         tc.backward(out)
         for node in (x, frozen):
             assert node._grad is None
@@ -242,7 +243,7 @@ class TestBackward:
         rng = np.random.default_rng(10)
         w = tc.leaf(rng.standard_normal((4, 2)), requires_grad=True)
         hidden = tc.tanh(tc.matmul(tc.constant(rng.standard_normal((3, 4))), w))
-        out = tc.sum_all(tc.mul(hidden, hidden))
+        out = sum_all(tc.mul(hidden, hidden))
         tc.backward(out)
         assert hidden._grad is None and out._grad is None
         assert np.array_equal(w.grad, w._grad) and np.any(w.grad != 0)
@@ -292,7 +293,7 @@ class TestBackward:
             v = tc.Node(values["v"], requires_grad=True)
             s = pick(v, 2)
             scaled = smul(m, srecip(s))
-            out = tc.sum_all(tc.mul(scaled, scaled))
+            out = sum_all(tc.mul(scaled, scaled))
             return out, {"m": m, "v": v}
 
         out, leaves = build(params)
@@ -313,7 +314,7 @@ class TestBackward:
         def build(values):
             x = tc.Node(values["x"], requires_grad=True)
             w = tc.softmax_rows(transpose(tc.mean_rows(x)))
-            out = tc.sum_all(tc.mul(w, w))
+            out = sum_all(tc.mul(w, w))
             return out, x
 
         out, x_node = build(params)
@@ -331,7 +332,7 @@ class TestBackward:
             contrast = tc.log_shift(tc.std_rows(mag), 1e-4)
             motion = tc.log_shift(tc.mean_rows(tc.absval(tc.diff_rows(mag))), 1e-4)
             pooled = tc.scale(tc.hconcat(contrast, motion), 3.0)
-            return tc.sum_all(tc.mul(pooled, pooled)), x
+            return sum_all(tc.mul(pooled, pooled)), x
 
         out, x_node = build(params)
         tc.backward(out)
