@@ -2,12 +2,16 @@
 
 Stages are idempotent: each records a fingerprint of the resolved config plus
 content hashes of everything it read and wrote, and is skipped when nothing
-changed. Within one `Pipeline` (one command), each watched file is hashed at
-most once: its sha256 is kept in memory until stages run. Stages run in
-batches (`Pipeline.run_stages`); all kept digests are dropped before a batch
-runs, before each of its stages is recorded and after the batch, since a
-stage that runs may rewrite any file. Nothing of it is stored, so every
-command hashes every file it watches again.
+changed. A cache check reads the stage's state file, takes one `stat` per
+watched path (walking the directories among them) and hashes the files; it
+parses no artifact, since stages load their manifests and checkpoints only
+when they run. Watched paths are strings under the output root. Within one
+`Pipeline` (one command), each watched file is hashed at most once: its
+sha256 is kept in memory until stages run. Stages run in batches
+(`Pipeline.run_stages`); all kept digests are dropped before a batch runs,
+before each of its stages is recorded and after the batch, since a stage
+that runs may rewrite any file. Nothing of it is stored, so every command
+hashes every file it watches again.
 
 Independent work runs on `--jobs` forked worker processes
 (`Pipeline._map`): the attack-specific experts, the fusion heads and the
@@ -24,9 +28,11 @@ Exit codes: 0 success, 1 user/config error, 2 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
+import stat
 import sys
 import traceback
 from contextlib import closing
@@ -89,6 +95,9 @@ class Pipeline:
     def __init__(self, config: ExperimentConfig, out_root, jobs: int = 1, log=None):
         self.cfg = config
         self.root = Path(out_root)
+        root = str(self.root)
+        # every artifact path is this prefix plus its path relative to the root
+        self._prefix = "" if root == "." else os.path.join(root, "")
         self.jobs = max(1, jobs)
         self._log = log if log is not None else (lambda msg: print(msg, flush=True))
         self._fingerprint = config.fingerprint()
@@ -99,19 +108,32 @@ class Pipeline:
 
     # --- stage caching -------------------------------------------------------
 
-    def _state_path(self, stage: str) -> Path:
-        return self.root / "state" / f"{stage}.json"
+    def _path(self, *parts: str) -> str:
+        return self._prefix + os.sep.join(parts)
+
+    def _rel(self, path: str) -> str:
+        """`path`, a normalized path under the root, relative to the root."""
+        if not path.startswith(self._prefix) or (not self._prefix and os.path.isabs(path)):
+            raise ValueError(f"{path!r} is not under the output root {str(self.root)!r}")
+        return path[len(self._prefix):]
+
+    def _state_path(self, stage: str) -> str:
+        return self._path("state", f"{stage}.json")
 
     def _expand(self, paths) -> dict:
         """{path relative to the root: path} of every existing file among
-        `paths`, directories expanded recursively."""
+        `paths`, directories expanded recursively, with one `stat` per path."""
         files = {}
         for path in paths:
-            rel = str(Path(path).relative_to(self.root))
-            path = str(path)
-            if os.path.isdir(path):
+            path = os.fspath(path)
+            rel = self._rel(path)
+            try:
+                mode = os.stat(path).st_mode
+            except OSError:  # missing, as `os.path.exists` sees it
+                continue
+            if stat.S_ISDIR(mode):
                 _walk(path, rel, files)
-            elif os.path.exists(path):
+            else:
                 files[rel] = path
         return files
 
@@ -126,10 +148,11 @@ class Pipeline:
         return out
 
     def stage_cached(self, stage: str, watched) -> bool:
-        state_path = self._state_path(stage)
-        if not state_path.exists():
+        try:
+            with open(self._state_path(stage)) as f:
+                state = json.load(f)
+        except FileNotFoundError:
             return False
-        state = json.loads(state_path.read_text())
         if state.get("config") != self._fingerprint:
             return False
         recorded = state.get("files", {})
@@ -141,8 +164,9 @@ class Pipeline:
     def record_stage(self, stage: str, watched) -> None:
         state = {"config": self._fingerprint, "files": self._tree_hashes(watched)}
         path = self._state_path(stage)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(state, sort_keys=True, separators=(",", ":")) + "\n")
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w") as f:
+            f.write(json.dumps(state, sort_keys=True, separators=(",", ":")) + "\n")
 
     def run_stage(self, stage: str, watched, fn) -> bool:
         """Returns True when the stage ran, False when its cache was fresh."""
@@ -228,30 +252,35 @@ class Pipeline:
 
     # --- artifact paths ------------------------------------------------------
 
-    def manifest_path(self, condition: str) -> Path:
-        return self.root / "manifests" / f"{condition}.jsonl"
+    def manifest_path(self, condition: str) -> str:
+        return self._path("manifests", f"{condition}.jsonl")
 
-    def audio_dir(self, condition: str) -> Path:
-        return self.root / "audio" / condition
+    def audio_dir(self, condition: str) -> str:
+        return self._path("audio", condition)
 
-    def ckpt_path(self, name: str) -> Path:
-        return self.root / "checkpoints" / f"{name}.json"
+    def ckpt_path(self, name: str) -> str:
+        return self._path("checkpoints", f"{name}.json")
 
-    def score_path(self, system: str, condition: str) -> Path:
-        return self.root / "scores" / f"{system}__{condition}.json"
+    def score_path(self, system: str, condition: str) -> str:
+        return self._path("scores", f"{system}__{condition}.json")
 
-    def load_manifest(self, condition: str) -> corpus.Manifest:
+    def existing_manifest(self, condition: str) -> str:
+        """The manifest path of `condition`, which must exist; not parsed."""
         path = self.manifest_path(condition)
-        if not path.exists():
+        if not os.path.exists(path):
             raise MissingArtifactError(
                 f"manifest for {condition!r} not found at {path}; run `amulet attack` "
                 f"(or `amulet synth` for T0) first"
             )
-        return corpus.load_manifest(path)
+        return path
 
-    def load_expert(self, name: str):
+    def load_manifest(self, condition: str) -> corpus.Manifest:
+        return corpus.load_manifest(self.existing_manifest(condition))
+
+    def load_expert(self, name: str) -> str:
+        """The checkpoint path of expert `name`, which must exist; not parsed."""
         path = self.ckpt_path(name)
-        if not path.exists():
+        if not os.path.exists(path):
             stage = "train-shared" if name == "e0" else "train-ase"
             raise MissingArtifactError(f"checkpoint {path} not found; run `amulet {stage}` first")
         return path
@@ -277,15 +306,12 @@ class Pipeline:
         return conditions
 
     def attack(self, only: str | None = None) -> None:
-        base = self.load_manifest("T0")
+        base_path = self.existing_manifest("T0")
+        base = functools.cache(lambda: corpus.load_manifest(base_path))  # parsed by a stale stage
         for condition in self.attack_conditions(only):
-            watched = [
-                self.manifest_path("T0"),
-                self.manifest_path(condition),
-                self.audio_dir(condition),
-            ]
+            watched = [base_path, self.manifest_path(condition), self.audio_dir(condition)]
             self.run_stage(f"attack-{condition}", watched,
-                           lambda c=condition: self._build_condition(base, c))
+                           lambda c=condition: self._build_condition(base(), c))
 
     def _build_condition(self, base: corpus.Manifest, condition: str) -> None:
         seed = self.cfg.attack_seed(condition)
@@ -294,25 +320,26 @@ class Pipeline:
             train_spec = attacks.preset(self.cfg.train_preset_name(condition), seed)
             train_part = corpus.build_variant(
                 corpus.filter_splits(base, ("train", "dev")), train_spec, condition,
-                self.root, save=False, jobs=self.jobs,
+                self.root, save=False,
             )
             eval_part = corpus.build_variant(
                 corpus.filter_splits(base, ("eval",)), eval_spec, condition,
-                self.root, save=False, jobs=self.jobs,
+                self.root, save=False,
             )
             merged = corpus.Manifest(train_part.entries + eval_part.entries)
             corpus.save_manifest(merged, self.manifest_path(condition))
         else:
             corpus.build_variant(
                 corpus.filter_splits(base, ("eval",)), eval_spec, condition,
-                self.root, save=True, jobs=self.jobs,
+                self.root, save=True,
             )
 
     def train_shared(self) -> None:
-        manifest = self.load_manifest("T0")
-        watched = [self.manifest_path("T0"), self.audio_dir("T0"), self.ckpt_path("e0")]
+        manifest_path = self.existing_manifest("T0")
+        watched = [manifest_path, self.audio_dir("T0"), self.ckpt_path("e0")]
 
         def fn():
+            manifest = corpus.load_manifest(manifest_path)
             model, _ = ex.train_shared(
                 self.cfg.encoder,
                 manifest.split("train"),
@@ -349,16 +376,17 @@ class Pipeline:
 
         stages = []
         for expert_id, condition in roster:
-            manifest = self.load_manifest(condition)
+            manifest_path = self.existing_manifest(condition)
             stage = f"train-ase-{condition}"
             watched = [
                 base_path,
-                self.manifest_path(condition),
+                manifest_path,
                 self.audio_dir(condition),
                 self.ckpt_path(f"ase_{condition}"),
             ]
 
-            def fn(condition=condition, manifest=manifest, stage=stage):
+            def fn(condition=condition, manifest_path=manifest_path, stage=stage):
+                manifest = corpus.load_manifest(manifest_path)
                 model, _ = ex.train_ase(
                     loaded["base"],
                     condition,
@@ -385,7 +413,7 @@ class Pipeline:
         paths = [self.load_expert("e0")]
         for expert_id in self.cfg.expert_ids:
             path = self.ckpt_path(f"ase_{self.cfg.roster[expert_id]}")
-            if not path.exists():
+            if not os.path.exists(path):
                 raise MissingArtifactError(f"{path} not found; run `amulet train-ase` first")
             paths.append(path)
         base, checksum = ex.load_expert_checkpoint(paths[0])
@@ -394,7 +422,7 @@ class Pipeline:
             model, checksum = ex.load_adapter_checkpoint(path, base)
             bank.append(model)
             checksums.append(checksum)
-        refs = [(str(p.relative_to(self.root)), c) for p, c in zip(paths, checksums)]
+        refs = [(self._rel(p), c) for p, c in zip(paths, checksums)]
         return bank, refs
 
     def _fusion_data(self, bank) -> tuple:
@@ -464,7 +492,7 @@ class Pipeline:
         fused = {}
         for k in self.cfg.k_values:
             path = self.ckpt_path(f"fusion_top{k}")
-            if not path.exists():
+            if not os.path.exists(path):
                 raise MissingArtifactError(f"{path} not found; run `amulet train-fusion` first")
             fused[f"fused_top{k}"] = fusion.load_fusion_checkpoint(path, self.root, loaded)
         return bank, fused
@@ -482,18 +510,18 @@ class Pipeline:
             for system in self.system_names()
             for condition in conditions
         ]
-        ckpt_dir = self.root / "checkpoints"
-        watched = score_paths + [ckpt_dir] + [self.manifest_path(c) for c in conditions]
+        watched = (score_paths + [self._path("checkpoints")]
+                   + [self.manifest_path(c) for c in conditions])
 
         def fn():
             bank, fused = self._systems()
             thunks = [lambda c=c: self._score_condition(bank, fused, c) for c in conditions]
-            for condition, (n_clips, buckets) in zip(conditions, list(self._map(thunks))):
+            results = list(self._map(thunks))
+            os.makedirs(self._path("scores"), exist_ok=True)
+            for condition, (n_clips, buckets) in zip(conditions, results):
                 for name, (bona, spoof) in buckets.items():
                     scores = metrics.ScoreSet(bona, spoof, condition, name)
-                    path = self.score_path(name, condition)
-                    path.parent.mkdir(parents=True, exist_ok=True)
-                    metrics.save_scores(scores, path)
+                    metrics.save_scores(scores, self.score_path(name, condition))
                 self.log("evaluate", f"scored {condition} ({n_clips} clips)")
 
         self.run_stage("evaluate", watched, fn)
@@ -538,15 +566,11 @@ class Pipeline:
     def report(self) -> None:
         reports_dir = self.root / "reports"
         outputs = [
-            reports_dir / "single_attack_eer.csv",
-            reports_dir / "single_attack_eer.txt",
-            reports_dir / "mixed_attack_eer.csv",
-            reports_dir / "mixed_attack_eer.txt",
-            reports_dir / "param_efficiency.csv",
-            reports_dir / "param_efficiency.txt",
+            self._path("reports", f"{stem}.{ext}")
+            for stem in ("single_attack_eer", "mixed_attack_eer", "param_efficiency")
+            for ext in ("csv", "txt")
         ]
-        score_dir = self.root / "scores"
-        watched = outputs + [score_dir]
+        watched = outputs + [self._path("scores")]
 
         def fn():
             reports_dir.mkdir(parents=True, exist_ok=True)
@@ -560,7 +584,7 @@ class Pipeline:
                 for system in self.system_names():
                     for condition in conditions:
                         path = self.score_path(system, condition)
-                        if not path.exists():
+                        if not os.path.exists(path):
                             raise MissingArtifactError(
                                 f"{path} not found; run `amulet evaluate` first"
                             )
@@ -614,7 +638,7 @@ class Pipeline:
 
     def _write_checksums(self) -> None:
         artifact_dirs = ["audio", "manifests", "checkpoints", "scores", "reports"]
-        files = self._expand([self.root / name for name in artifact_dirs])
+        files = self._expand([self._path(name) for name in artifact_dirs])
         checks = {rel: _hash_file(path) for rel, path in files.items()
                   if os.path.basename(rel) != "checksums.json"}
         out = self.root / "reports" / "checksums.json"
@@ -649,7 +673,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for the attack-specific experts, the fusion "
                              "heads and the eval conditions, with outputs and logs identical "
-                             "to --jobs 1; attack uses as many clip threads")
+                             "to --jobs 1")
     parser.add_argument("--seed-override", type=int, default=None,
                         help="replace all three stage seeds with values derived from this one")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -270,27 +270,20 @@ def filter_splits(manifest: Manifest, splits) -> Manifest:
 
 
 def build_variant(manifest: Manifest, spec: AttackSpec, tag: str, out_dir, root=None,
-                  save: bool = True, jobs: int = 1) -> Manifest:
+                  save: bool = True) -> Manifest:
     """Apply one attack spec to every clip of a manifest, preserving structure."""
     out_root = Path(out_dir)
     root = Path(root) if root is not None else out_root
     audio_dir = out_root / "audio" / tag
     audio_dir.mkdir(parents=True, exist_ok=True)
 
-    def process(entry: ManifestEntry) -> ManifestEntry:
-        clip = resolve_clip(entry, root)
-        attacked = apply_attack(clip, spec)
+    entries = []
+    for entry in manifest.entries:
+        attacked = apply_attack(resolve_clip(entry, root), spec)
         rel = _audio_rel_path(tag, entry.clip_id)
         write_wav(out_root / rel, attacked)
-        return ManifestEntry(entry.clip_id, entry.label, entry.split, tag, entry.seed, path=rel)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(process, manifest.entries))
-    else:
-        entries = [process(entry) for entry in manifest.entries]
+        entries.append(ManifestEntry(entry.clip_id, entry.label, entry.split, tag, entry.seed,
+                                     path=rel))
     variant = Manifest(entries)
     if save:
         manifest_dir = out_root / "manifests"

@@ -7,6 +7,8 @@ clip at a time, so none of the batched graphs' per-clip segment logic runs.
 """
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from amulet import experts as ex
@@ -27,6 +29,23 @@ def matmul_triple_loop(a, b):
                 acc += a[i][k] * b[k][j]
             out[i][j] = acc
     return np.array(out)
+
+
+def expand_watched(root, paths) -> dict:
+    """{path relative to `root`: path} of every existing file among `paths`,
+    directories expanded by `Path.rglob` (which follows file symlinks but does
+    not descend into directory symlinks). A path outside `root` raises
+    ValueError, from `Path.relative_to`."""
+    files = {}
+    for path in map(Path, paths):
+        rel = path.relative_to(root)
+        if path.is_dir():
+            for sub in path.rglob("*"):
+                if sub.is_file():
+                    files[str(rel / sub.relative_to(path))] = str(sub)
+        elif path.exists():
+            files[str(rel)] = str(path)
+    return files
 
 
 def relative_error(a, b, floor: float = 1.0) -> float:

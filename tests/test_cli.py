@@ -12,9 +12,11 @@ from pathlib import Path
 import pytest
 
 from amulet import cli
+from amulet import corpus
 from amulet import experts as ex
 from amulet import fusion as fu
 from amulet.config import ConfigError, resolve_config, validate_config
+from oracles import expand_watched
 
 
 def micro_config(out_dir, **overrides):
@@ -332,6 +334,59 @@ class TestStageCache:
             watched.update(str(out / rel) for rel in json.loads(state.read_text())["files"])
         assert set(hashed) == watched
         assert set(hashed.values()) == {1}
+
+    def test_cached_rerun_parses_nothing(self, trained_bank, tmp_path, monkeypatch, capsys):
+        out = copy_root(trained_bank, tmp_path)
+        args = ["--config", trained_bank[0], "--out", str(out), "reproduce"]
+        assert cli.main(args) == 0  # evaluate and report run
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cache check parsed an artifact")
+
+        for module, name in ((corpus, "load_manifest"), (ex, "load_expert_checkpoint"),
+                             (ex, "load_adapter_checkpoint"), (fu, "load_fusion_checkpoint")):
+            monkeypatch.setattr(module, name, refuse)
+        capsys.readouterr()
+        assert cli.main(args) == 0
+        logged = [line for line in capsys.readouterr().out.splitlines()
+                  if not line.startswith("[config]")]
+        assert len(logged) == len(list((out / "state").glob("*.json")))
+        assert all(line.endswith("] skipped (outputs up to date)") for line in logged)
+
+    @pytest.mark.parametrize("spelling", ["absolute", "relative", "dot"])
+    def test_expand_matches_pathlib(self, tmp_path, monkeypatch, spelling):
+        out = tmp_path / "out"
+        audio = out / "audio" / "T1"
+        (audio / "deep").mkdir(parents=True)
+        (audio / "a.wav").write_bytes(b"a")
+        (audio / "deep" / "b.wav").write_bytes(b"b")
+        (out / "manifests").mkdir()
+        (out / "manifests" / "T1.jsonl").write_text("{}\n")
+        elsewhere = tmp_path / "elsewhere"
+        (elsewhere / "sub").mkdir(parents=True)
+        (elsewhere / "sub" / "c.wav").write_bytes(b"c")
+        (elsewhere / "d.wav").write_bytes(b"d")
+        (audio / "linked.wav").symlink_to(elsewhere / "d.wav")  # followed
+        (audio / "linked_dir").symlink_to(elsewhere / "sub")  # not followed
+        (out / "manifests" / "T2.jsonl").symlink_to(elsewhere / "d.wav")
+        root = {"absolute": out, "relative": Path("out"), "dot": Path(".")}[spelling]
+        monkeypatch.chdir(tmp_path if spelling == "relative" else out)
+        pipe = cli.Pipeline(validate_config(micro_config(out)), root, log=lambda msg: None)
+        watched = [root / "audio" / "T1", root / "manifests" / "T1.jsonl",
+                   root / "manifests" / "T2.jsonl", root / "missing.json", root / "missing"]
+        expected = expand_watched(root, watched)
+        assert sorted(expected) == [
+            str(Path("audio/T1/a.wav")), str(Path("audio/T1/deep/b.wav")),
+            str(Path("audio/T1/linked.wav")), str(Path("manifests/T1.jsonl")),
+            str(Path("manifests/T2.jsonl")),
+        ]
+        assert pipe._expand(watched) == expected
+        assert pipe._expand([str(p) for p in watched]) == expected
+        for outside in (elsewhere / "d.wav", tmp_path / "out2" / "x.json"):
+            with pytest.raises(ValueError):
+                expand_watched(root, [outside])
+            with pytest.raises(ValueError):
+                pipe._expand([outside])
 
 
 class InlinePool:
