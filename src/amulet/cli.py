@@ -39,8 +39,6 @@ from contextlib import closing
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import attacks, corpus, fusion, metrics
 from . import experts as ex
 from .audio import AudioError
@@ -151,7 +149,7 @@ class Pipeline:
         try:
             with open(self._state_path(stage)) as f:
                 state = json.load(f)
-        except FileNotFoundError:
+        except (FileNotFoundError, ValueError):  # missing, or does not parse: stale
             return False
         if state.get("config") != self._fingerprint:
             return False
@@ -165,8 +163,10 @@ class Pipeline:
         state = {"config": self._fingerprint, "files": self._tree_hashes(watched)}
         path = self._state_path(stage)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w") as f:
+        tmp = f"{path}.{os.getpid()}.tmp"  # replaced whole, so no crash leaves it torn
+        with open(tmp, "w") as f:
             f.write(json.dumps(state, sort_keys=True, separators=(",", ":")) + "\n")
+        os.replace(tmp, path)
 
     def run_stage(self, stage: str, watched, fn) -> bool:
         """Returns True when the stage ran, False when its cache was fresh."""
@@ -427,7 +427,7 @@ class Pipeline:
 
     def _fusion_data(self, bank) -> tuple:
         """(features, labels) of the fusion subset and of every dev split,
-        with one `fusion.expert_features` list per clip."""
+        with one list of the clip's rows of `fusion.expert_features` per clip."""
         manifests = [self.load_manifest("T0")]
         for condition in self.cfg.train_conditions:
             manifests.append(self.load_manifest(condition))
@@ -436,9 +436,15 @@ class Pipeline:
         )
         dev_entries = [e for manifest in manifests for e in manifest.split("dev")]
 
+        leaves = [ex.constant_leaves(model) for model in bank]
+
         def features(entries):
-            return ([fusion.expert_features(bank, corpus.resolve_clip(e, self.root))
-                     for e in entries], [e.label for e in entries])
+            z_alls = []
+            for chunk in ex.chunks(entries):
+                zs, frames = fusion.expert_features(
+                    bank, leaves, [corpus.resolve_clip(e, self.root) for e in chunk])
+                z_alls += [[z.value[seg] for z in zs] for seg in frames]
+            return z_alls, [e.label for e in entries]
 
         return features(subset.entries), features(dev_entries)
 
@@ -535,21 +541,20 @@ class Pipeline:
             raise MissingArtifactError(f"{condition}: no eval entries to score")
         expert_names = ["E0"] + self.cfg.expert_ids
         buckets = {name: ([], []) for name in self.system_names()}
-        for entry in entries:
-            clip = corpus.resolve_clip(entry, self.root)
-            feats = ex.frame_features(clip, bank[0].cfg)
-            z_all = ex.bank_forward(bank, feats)
-            slot = 0 if entry.label == "bonafide" else 1
-            logit_rows = []
-            for name, model, z in zip(expert_names, bank, z_all):
-                logits = ex.head_logits(model, z)
-                logit_rows.append(logits[0])
-                buckets[name][slot].append(float(logits[0, 0] - logits[0, 1]))
-            mean_logits = fusion.ensemble_logits(logit_rows)
-            buckets["ensemble"][slot].append(float(mean_logits[0] - mean_logits[1]))
-            for fname, system in fused.items():
-                _, logits = fusion.fused_logits(system, z_all)
-                buckets[fname][slot].append(float(logits[0, 0] - logits[0, 1]))
+        bank_leaves = [ex.constant_leaves(model) for model in bank]
+        fused_leaves = {name: ex.constant_leaves(system) for name, system in fused.items()}
+        for chunk in ex.chunks(entries):
+            zs, frames = fusion.expert_features(
+                bank, bank_leaves, [corpus.resolve_clip(e, self.root) for e in chunk])
+            logits = {name: ex.expert_logits(leaves, z, frames).value
+                      for name, leaves, z in zip(expert_names, bank_leaves, zs)}
+            logits["ensemble"] = fusion.ensemble_logits(list(logits.values()))
+            for name, system in fused.items():
+                logits[name] = fusion.fused_logits(system, fused_leaves[name], zs, frames).value
+            for r, entry in enumerate(chunk):
+                slot = 0 if entry.label == "bonafide" else 1
+                for name, rows in logits.items():
+                    buckets[name][slot].append(float(rows[r, 0] - rows[r, 1]))
         return len(entries), buckets
 
     # --- reporting ---------------------------------------------------------------

@@ -9,6 +9,11 @@ two-path form x@W0 + s*((x@A)@B) with s = alpha/rank by default (the literal
 s = alpha reading is available behind `scale_mode`), A ~ N(0, 0.02), B = 0,
 so a freshly injected expert is functionally identical to its base.
 
+One definition serves training and inference: the graph functions
+`encoder_forward` and `expert_logits` over clips stacked by rows. Inference
+runs them on `constant_leaves`, `INFERENCE_CHUNK` clips at a time; stacked
+products are bitwise the per-clip ones, so chunking changes no score.
+
 Checkpoints are canonical JSON with a content checksum; adapter checkpoints
 store only the adapter and head tensors plus the checksum of the base
 encoder they bind to.
@@ -55,10 +60,6 @@ class EncoderConfig:
         self.hidden_dims = tuple(int(d) for d in self.hidden_dims)
         if self.frame_len < 2 or self.hop < 1 or any(d < 2 for d in self.hidden_dims):
             raise ExpertError("encoder dims must be >= 2 and hop >= 1")
-
-    @property
-    def feature_dim(self) -> int:
-        return self.frame_len
 
     @property
     def output_dim(self) -> int:
@@ -144,9 +145,6 @@ class ExpertModel:
             set(self.frozen),
             dict(self.lora_meta) if self.lora_meta else None,
         )
-
-    def trainable_names(self):
-        return [name for name in sorted(self.tensors) if name not in self.frozen]
 
 
 def _filterbank_init(m: int, n: int, sample_rate: int = 16000) -> np.ndarray:
@@ -261,102 +259,18 @@ def _dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(shape) >= p) / (1.0 - p)
 
 
-def encoder_forward(model: ExpertModel, feats: np.ndarray, layer0=None) -> np.ndarray:
-    """Plain (inference) forward; adapters use the two-path form, no dropout.
-
-    `layer0` optionally holds this model's layer-0 products precomputed:
-    (x@W0, x@A0) as `bank_forward` shares them, or (x@W0, None), in which
-    case x@A0 is taken here when the model has adapters.
-    """
-    tensors = model.tensors
-    scale = None
-    if model.has_adapters:
-        meta = model.lora_meta
-        scale = lora_scale(meta["alpha"], meta["rank"], meta["scale_mode"])
-    h = feats
-    for i in range(model.n_layers):
-        if i == 0 and layer0 is not None:
-            base, xa = layer0
-        else:
-            base = tc.matmul_values(h, tensors[f"enc.w{i}"])
-            xa = None
-        pre = base + tensors[f"enc.b{i}"]
-        if scale is not None:
-            if xa is None:
-                xa = tc.matmul_values(h, tensors[f"lora.a{i}"])
-            pre = pre + tc.matmul_values(xa, tensors[f"lora.b{i}"]) * scale
-        h = np.tanh(pre)
-    return h
-
-
-def bank_forward(models, feats: np.ndarray) -> list:
-    """`encoder_forward` of every model in a bank on one clip's features.
-
-    Every model whose frozen `enc.w0` equals the first model's shares one
-    layer-0 product x @ [W0 | A0_1 | ... | A0_n]; its column blocks are
-    bitwise the separate products, because `matmul_values` sums each output
-    element over the inner index in increasing order whatever the width.
-    Biases, the `(x@A0)@B0` terms and the deeper layers stay per model, and
-    a model with a different `enc.w0` gets its own forward.
-    """
-    w0 = models[0].tensors["enc.w0"]
-    shares = [np.array_equal(m.tensors["enc.w0"], w0) for m in models]
-    blocks = [w0] + [
-        m.tensors["lora.a0"] for m, shared in zip(models, shares) if shared and m.has_adapters
-    ]
-    product = tc.matmul_values(feats, np.concatenate(blocks, axis=1))
-    base = product[:, : w0.shape[1]]
-    col = w0.shape[1]
-    out = []
-    for model, shared in zip(models, shares):
-        if not shared:
-            out.append(encoder_forward(model, feats))
-            continue
-        xa = None
-        if model.has_adapters:
-            rank = model.tensors["lora.a0"].shape[1]
-            xa = product[:, col : col + rank]
-            col += rank
-        out.append(encoder_forward(model, feats, (base, xa)))
-    return out
-
-
 POOL_LOG_EPS = 1e-4
 POOL_LOG_GAIN = 6.0
 PAIR_EPS = 1e-12
 
-
-def head_pool(z: np.ndarray) -> np.ndarray:
-    """Quadrature-magnitude temporal pooling for the expert head.
-
-    Adjacent feature columns are treated as quadrature pairs (the filterbank
-    init lays them out that way), giving per-frame band amplitudes that are
-    insensitive to carrier phase. Each band contributes two statistics: the
-    log temporal contrast (std of the amplitude track) and the log mean
-    absolute amplitude delta. The log equalizes dynamic range across bands so
-    faint high bands carry as much gradient as loud harmonic ones, and the
-    gain sets units so plain gradient descent at the stock learning rate makes
-    visible progress within the plateau scheduler's window."""
-    if z.shape[1] % 2:
-        raise ExpertError("head pooling needs an even encoder output dim")
-    even = z[:, 0::2]
-    odd = z[:, 1::2]
-    mag = np.sqrt(even * even + odd * odd + PAIR_EPS)
-    contrast, _ = tc.std_rows_values(mag)
-    motion = np.abs(mag[1:] - mag[:-1]).mean(axis=0, keepdims=True)
-    pooled = np.concatenate(
-        [np.log(contrast + POOL_LOG_EPS), np.log(motion + POOL_LOG_EPS)], axis=1
-    )
-    return pooled * POOL_LOG_GAIN
+# Clips per inference graph (dev EER, fusion features, `evaluate`); chosen
+# by CPU time and peak RSS against 1, 2, 8 and 16 (see CHANGES.md).
+INFERENCE_CHUNK = 4
 
 
-def head_logits(model: ExpertModel, z: np.ndarray) -> np.ndarray:
-    pooled = head_pool(z)
-    return tc.matmul_values(pooled, model.tensors["head.w"]) + model.tensors["head.b"]
-
-
-def expert_logits(model: ExpertModel, feats: np.ndarray, layer0=None) -> np.ndarray:
-    return head_logits(model, encoder_forward(model, feats, layer0))
+def chunks(items) -> list:
+    """`items` in consecutive slices of up to `INFERENCE_CHUNK`."""
+    return [items[i : i + INFERENCE_CHUNK] for i in range(0, len(items), INFERENCE_CHUNK)]
 
 
 def make_leaves(model) -> dict:
@@ -368,26 +282,30 @@ def make_leaves(model) -> dict:
     }
 
 
-def encoder_forward_nodes(model, leaves, feats, dropout_rngs=None, layer0=None) -> tc.Node:
-    """Graph forward of a batch: `feats` lists the clips' frame matrices, and
-    the output stacks their rows in that order.
+def constant_leaves(model) -> dict:
+    """Leaves needing no gradient, on which the graph functions infer."""
+    return {name: tc.constant(value) for name, value in model.tensors.items()}
 
-    `dropout_rngs` holds one generator per clip; each draws its clip's masks
-    layer by layer. `layer0` optionally lists each clip's precomputed x@W0,
-    which stands in for the base product only while the `enc.w0` leaf needs
-    no gradient, so a graph in which `enc.w0` trains always takes the
-    product. The adapter path x@A0 always stays in the graph."""
-    frames = tc.row_segments(f.shape[0] for f in feats)
-    h = tc.constant(np.concatenate(feats))
+
+def encoder_forward(model, leaves, x: tc.Node, frames, dropout_rngs=None, layer0=None) -> tc.Node:
+    """Encoder output of clips whose frames `x` stacks by rows, clip c in
+    rows `frames[c]`. `dropout_rngs` holds one generator per clip for its
+    adapter-input masks, drawn layer by layer. `layer0` optionally holds the
+    stacked (x@W0, x@A0) as constants, x@A0 possibly None; a cached product
+    stands in only while its leaf needs no gradient (x@A0 also only without
+    dropout)."""
+    h = x
+    xw0, xa0 = layer0 if layer0 is not None else (None, None)
     for i in range(model.n_layers):
         w = leaves[f"enc.w{i}"]
-        if i == 0 and layer0 is not None and not w.needs_grad:
-            base = tc.constant(np.concatenate(layer0))
+        if i == 0 and xw0 is not None and not w.needs_grad:
+            base = xw0
         else:
             base = tc.matmul(h, w, frames)
         pre = tc.add(base, leaves[f"enc.b{i}"], frames)
         if model.has_adapters:
             meta = model.lora_meta
+            a = leaves[f"lora.a{i}"]
             x_in = h
             if dropout_rngs is not None and meta["dropout_p"] > 0.0:
                 mask = np.concatenate([
@@ -395,7 +313,10 @@ def encoder_forward_nodes(model, leaves, feats, dropout_rngs=None, layer0=None) 
                     for seg, rng in zip(frames, dropout_rngs)
                 ])
                 x_in = tc.mul(h, tc.constant(mask))
-            xa = tc.matmul(x_in, leaves[f"lora.a{i}"], frames)
+            if i == 0 and xa0 is not None and x_in is h and not a.needs_grad:
+                xa = xa0
+            else:
+                xa = tc.matmul(x_in, a, frames)
             delta = tc.matmul(xa, leaves[f"lora.b{i}"], frames)
             scale = lora_scale(meta["alpha"], meta["rank"], meta["scale_mode"])
             pre = tc.add(pre, tc.scale(delta, scale))
@@ -403,21 +324,32 @@ def encoder_forward_nodes(model, leaves, feats, dropout_rngs=None, layer0=None) 
     return h
 
 
-def loss_nodes(model, leaves, feats, labels, dropout_rngs=None, layer0=None) -> tc.Node:
-    """Mean cross-entropy of a batch of clips as one graph (arguments as for
-    `encoder_forward_nodes`, plus one label per clip). Pooling reduces over
-    each clip's own frames, and every shared tensor's gradient is summed
-    clip by clip, so the loss and gradients are bitwise those of the mean of
-    one graph per clip."""
-    frames = tc.row_segments(f.shape[0] for f in feats)
-    rows = tc.row_segments([1] * len(feats))
-    z = encoder_forward_nodes(model, leaves, feats, dropout_rngs, layer0)
+def expert_logits(leaves, z: tc.Node, frames) -> tc.Node:
+    """Expert head: one 1x2 logit row per clip of encoder output `z`.
+
+    Adjacent feature columns are quadrature pairs (the filterbank init lays
+    them out so), whose magnitudes are phase-invariant band amplitudes. Each
+    band gives the log std and log mean absolute delta of its amplitude over
+    the clip's frames; the log evens out band loudness, and the gain lets
+    plain SGD at the stock rate move within the plateau window."""
+    rows = tc.row_segments([1] * len(frames))
+    steps = tc.row_segments(seg.stop - seg.start - 1 for seg in frames)
     mag = tc.pair_magnitude(z, PAIR_EPS)
     contrast = tc.log_shift(tc.std_rows(mag, segments=frames), POOL_LOG_EPS)
-    steps = tc.row_segments(f.shape[0] - 1 for f in feats)
     motion = tc.log_shift(tc.mean_rows(tc.absval(tc.diff_rows(mag, frames)), steps), POOL_LOG_EPS)
     pooled = tc.scale(tc.hconcat(contrast, motion), POOL_LOG_GAIN)
-    logits = tc.add(tc.matmul(pooled, leaves["head.w"], rows), leaves["head.b"], rows)
+    return tc.add(tc.matmul(pooled, leaves["head.w"], rows), leaves["head.b"], rows)
+
+
+def loss_nodes(model, leaves, feats, labels, dropout_rngs=None, layer0=None) -> tc.Node:
+    """Mean cross-entropy of the clips with frame matrices `feats` as one
+    graph (other arguments as for `encoder_forward`). Shared tensors'
+    gradients are summed clip by clip, so the loss and gradients are bitwise
+    those of the mean of one graph per clip."""
+    frames = tc.row_segments(f.shape[0] for f in feats)
+    z = encoder_forward(model, leaves, tc.constant(np.concatenate(feats)), frames, dropout_rngs,
+                        layer0)
+    logits = expert_logits(leaves, z, frames)
     return tc.cross_entropy(logits, [LABEL_INDEX[label] for label in labels])
 
 
@@ -476,14 +408,13 @@ class TrainHyper:
     patience: int = 10
 
 
-def dev_eer(clip_logits, dev_feats, dev_labels) -> float:
+def dev_eer(chunk_logits, dev_clips, dev_labels) -> float:
     """EER of the bona-fide-positive scores logit(bonafide) - logit(spoof),
-    with `clip_logits(feats)` giving a clip's 1x2 logit row."""
+    with `chunk_logits` giving a logit row per clip of each `chunks` slice."""
     bona, spoof = [], []
-    for feats, label in zip(dev_feats, dev_labels):
-        logits = clip_logits(feats)
-        score = float(logits[0, 0] - logits[0, 1])
-        (bona if label == "bonafide" else spoof).append(score)
+    for clips, labels in zip(chunks(dev_clips), chunks(dev_labels)):
+        for row, label in zip(chunk_logits(clips), labels):
+            (bona if label == "bonafide" else spoof).append(float(row[0] - row[1]))
     return compute_eer(ScoreSet(bona, spoof)).eer
 
 
@@ -573,20 +504,29 @@ def train_expert(
         clips = []
         for entry in entries:
             feats = frame_features(resolve_clip(entry, root), work.cfg)
-            layer0 = None if w0 is None else (tc.matmul_values(feats, w0), None)
-            clips.append((feats, layer0))
+            clips.append((feats, None if w0 is None else tc.matmul_values(feats, w0)))
         return clips, [e.label for e in entries]
 
+    def stacked_layer0(clips):
+        return None if w0 is None else (tc.constant(np.concatenate([c[1] for c in clips])), None)
+
     def batch_loss(leaves, clips, labels, rngs):
-        layer0 = None if w0 is None else [clip[1][0] for clip in clips]
-        return loss_nodes(work, leaves, [clip[0] for clip in clips], labels, rngs, layer0)
+        return loss_nodes(work, leaves, [clip[0] for clip in clips], labels, rngs,
+                          stacked_layer0(clips))
+
+    def epoch_eer():
+        leaves = constant_leaves(work)
+
+        def chunk_logits(clips):
+            frames = tc.row_segments(clip[0].shape[0] for clip in clips)
+            x = tc.constant(np.concatenate([clip[0] for clip in clips]))
+            z = encoder_forward(work, leaves, x, frames, layer0=stacked_layer0(clips))
+            return expert_logits(leaves, z, frames).value
+
+        return dev_eer(chunk_logits, *dev_set)
 
     train_set, dev_set = load_clips(train_entries), load_clips(dev_entries)
-    tensors, history = fit(
-        work, *train_set, batch_loss,
-        lambda: dev_eer(lambda clip: expert_logits(work, *clip), *dev_set),
-        hyper, seed, log,
-    )
+    tensors, history = fit(work, *train_set, batch_loss, epoch_eer, hyper, seed, log)
     best = ExpertModel(work.cfg, tensors, work.frozen, work.lora_meta)
     if frozen_checksum(work) != contract or frozen_checksum(best) != contract:
         raise FrozenContractError("frozen tensors changed during training")

@@ -5,8 +5,9 @@ The gate is a single linear layer on the time-mean of the shared expert's
 features; its softmax scores pick the top-k specialists (ties break to the
 lowest index). Selected features are weight-summed, the shared features are
 added unweighted, and the result is layer-normalized, attention-pooled,
-projected, and classified. Only gate/LN/pool/classifier parameters train;
-the expert bank is checksum-frozen.
+projected, and classified, all in the one graph `fused_logits` that training
+and inference share. Only gate/LN/pool/classifier parameters train; the
+expert bank is checksum-frozen.
 
 Gate scores are softmaxed over all specialists and not renormalized after
 selection (the shared features anchor the scale); `renormalize=True` is
@@ -14,13 +15,11 @@ available for ablation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as tc
-from .audio import AudioClip
 from .experts import (
     LABEL_INDEX,
     CheckpointError,
@@ -30,9 +29,9 @@ from .experts import (
     _tensor_payload,
     _tensors_from_payload,
     _write_payload,
-    bank_forward,
+    constant_leaves,
     dev_eer,
-    encoder_forward,  # noqa: F401  perfbench's tracer test checks this binding
+    encoder_forward,
     fit,
     frame_features,
     full_checksum,
@@ -45,16 +44,6 @@ LN_EPS = 1e-5
 
 class FusionError(ValueError):
     pass
-
-
-@dataclass
-class GateDecision:
-    scores: np.ndarray  # softmax weights over the N specialists
-    selected: tuple     # indices of the k largest scores, ascending
-
-    def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=np.float64).reshape(-1)
-        self.selected = tuple(int(i) for i in self.selected)
 
 
 def init_fusion_params(dim: int, n_experts: int, seed: int) -> dict:
@@ -108,121 +97,96 @@ class FusionSystem:
             raise FrozenContractError("expert bank changed under the fusion system")
 
 
-def gate_scores(z0: np.ndarray, gate_w: np.ndarray, gate_b: np.ndarray, k: int) -> GateDecision:
-    """Softmax contribution weights from the shared features' time mean."""
-    n = gate_w.shape[1]
-    if not 1 <= k <= n:
-        raise FusionError(f"k={k} exceeds the {n} available specialists")
-    zbar = z0.mean(axis=0, keepdims=True)
-    logits = tc.matmul_values(zbar, gate_w) + gate_b
-    scores = tc.softmax_values(logits)[0]
-    order = np.argsort(-scores, kind="stable")  # ties resolve to the lowest index
-    return GateDecision(scores, tuple(sorted(int(i) for i in order[:k])))
+def expert_features(experts, leaves, clips) -> tuple:
+    """(feature node of `clips` per expert of the bank [E0, E1..En], stacked
+    by rows; the clips' row segments), with `leaves` each expert's constants.
+
+    Experts sharing the first one's `enc.w0` share one product
+    x @ [W0 | A0_1 | ... | A0_n], whose column blocks are bitwise the
+    separate products, as their cached layer-0 products in `encoder_forward`;
+    an expert with its own `enc.w0` takes its own."""
+    feats = [frame_features(clip, experts[0].cfg) for clip in clips]
+    frames = tc.row_segments(f.shape[0] for f in feats)
+    x = tc.constant(np.concatenate(feats))
+    w0 = experts[0].tensors["enc.w0"]
+    shares = [np.array_equal(e.tensors["enc.w0"], w0) for e in experts]
+    blocks = [w0] + [
+        e.tensors["lora.a0"] for e, shared in zip(experts, shares) if shared and e.has_adapters
+    ]
+    product = tc.matmul_values(x.value, np.concatenate(blocks, axis=1))
+    ends = np.cumsum([block.shape[1] for block in blocks])
+    base = tc.constant(product[:, : ends[0]])
+    adapter_blocks = iter(tc.constant(product[:, lo:hi]) for lo, hi in zip(ends[:-1], ends[1:]))
+    zs = []
+    for model, model_leaves, shared in zip(experts, leaves, shares):
+        layer0 = None
+        if shared:
+            layer0 = (base, next(adapter_blocks) if model.has_adapters else None)
+        zs.append(encoder_forward(model, model_leaves, x, frames, layer0=layer0))
+    return zs, frames
 
 
-def fuse(z_list, z0, decision: GateDecision, ln_gain, ln_bias,
-         renormalize: bool = False) -> np.ndarray:
-    """Weighted sum of the selected specialists plus unweighted shared features,
-    then row-wise layer norm."""
-    for z in z_list:
-        if z.shape != z0.shape:
-            raise tc.ShapeError(f"expert feature shapes disagree: {z.shape} vs {z0.shape}")
-    weights = decision.scores
-    if renormalize:
-        total = 0.0
-        for i in decision.selected:
-            total = total + float(weights[i])
-        if total > 0.0:
-            weights = weights * (1.0 / total)
-    acc = np.zeros_like(z0)
-    for i in decision.selected:
-        acc = acc + weights[i] * z_list[i]
-    out, _, _ = tc.layer_norm_values(acc + z0, ln_gain, ln_bias, LN_EPS)
-    return out
-
-
-def head_forward(z_moe: np.ndarray, params: dict) -> np.ndarray:
-    """Attention pooling over time, projection, two-layer tanh classifier."""
-    att = tc.matmul_values(z_moe, params["pool.a"])  # T x 1
-    weights = tc.softmax_values(att.T)               # 1 x T
-    pooled = tc.matmul_values(weights, z_moe)        # 1 x D
-    proj = tc.matmul_values(pooled, params["pool.proj"])
-    hidden = np.tanh(tc.matmul_values(proj, params["cls.w1"]) + params["cls.b1"])
-    return tc.matmul_values(hidden, params["cls.w2"]) + params["cls.b2"]
-
-
-def expert_features(experts, clip: AudioClip) -> list:
-    """Each expert's features of one clip; `experts` is the bank [E0, E1..En]."""
-    return bank_forward(experts, frame_features(clip, experts[0].cfg))
-
-
-def fused_logits(system: FusionSystem, z_all):
-    """Gate + fuse + head on precomputed per-expert features [z0, z1, ...]."""
-    decision = gate_scores(z_all[0], system.params["gate.w"], system.params["gate.b"], system.k)
-    fused = fuse(z_all[1:], z_all[0], decision, system.params["ln.g"],
-                 system.params["ln.b"], system.renormalize)
-    return decision, head_forward(fused, system.params)
-
-
-def ensemble_logits(per_expert_logits) -> np.ndarray:
-    """Elementwise mean of per-expert logit rows (shared expert included)."""
-    rows = [np.asarray(row, dtype=np.float64).reshape(-1) for row in per_expert_logits]
-    if not rows:
-        raise FusionError("ensemble needs at least one expert's logits")
-    acc = np.zeros_like(rows[0])
-    for row in rows:
-        if row.shape != acc.shape:
-            raise FusionError("ensemble logits disagree in shape")
-        acc = acc + row
-    return acc / len(rows)
-
-
-# --- fusion training ---------------------------------------------------------
-
-
-def _fusion_loss_nodes(system, leaves, z_alls, label_idx) -> tc.Node:
-    """Mean cross-entropy of a batch of clips as one graph: `z_alls` holds
-    each clip's `expert_features`, `label_idx` each clip's class index. The
-    gate, top-k selection and attention pooling act on each clip's own
-    frames; the loss and gradients are bitwise those of the mean of one graph
-    per clip."""
-    frames = tc.row_segments(z_all[0].shape[0] for z_all in z_alls)
-    rows = tc.row_segments([1] * len(z_alls))
-    z0 = np.concatenate([z_all[0] for z_all in z_alls])
-    zbar = tc.constant(np.concatenate([z_all[0].mean(axis=0, keepdims=True) for z_all in z_alls]))
-    glogits = tc.add(tc.matmul(zbar, leaves["gate.w"], rows), leaves["gate.b"], rows)
-    scores = tc.softmax_rows(glogits)
-    tracks = [np.concatenate([z_all[1 + i] for z_all in z_alls])
-              for i in range(system.n_specialists)]
-    mixed = tc.topk_mix(scores, tracks, system.k, system.renormalize, frames)
-    fused = tc.layer_norm(tc.add(mixed, tc.constant(z0)), leaves["ln.g"], leaves["ln.b"],
-                          LN_EPS, frames)
-
+def fused_logits(system: FusionSystem, leaves, zs, frames) -> tc.Node:
+    """Gate, top-k fusion and head as one graph: a 1x2 logit row per clip of
+    the bank features `zs` and row segments `frames` that `expert_features`
+    returns. Gradients reach the selected gate scores only."""
+    rows = tc.row_segments([1] * len(frames))
+    glogits = tc.add(tc.matmul(tc.mean_rows(zs[0], frames), leaves["gate.w"], rows),
+                     leaves["gate.b"], rows)
+    mixed = tc.topk_mix(tc.softmax_rows(glogits), [z.value for z in zs[1:]], system.k,
+                        system.renormalize, frames)
+    fused = tc.layer_norm(tc.add(mixed, zs[0]), leaves["ln.g"], leaves["ln.b"], LN_EPS, frames)
     att = tc.matmul(fused, leaves["pool.a"], frames)
     pooled = tc.attention_pool(att, fused, frames)
     proj = tc.matmul(pooled, leaves["pool.proj"], rows)
     hidden = tc.tanh(tc.add(tc.matmul(proj, leaves["cls.w1"], rows), leaves["cls.b1"], rows))
-    logits = tc.add(tc.matmul(hidden, leaves["cls.w2"], rows), leaves["cls.b2"], rows)
-    return tc.cross_entropy(logits, label_idx)
+    return tc.add(tc.matmul(hidden, leaves["cls.w2"], rows), leaves["cls.b2"], rows)
+
+
+def stack_features(z_alls) -> tuple:
+    """Per-clip feature lists [z0, z1, ...] stacked as `expert_features`
+    stacks a chunk's."""
+    frames = tc.row_segments(z_all[0].shape[0] for z_all in z_alls)
+    return [tc.constant(np.concatenate(track)) for track in zip(*z_alls)], frames
+
+
+def ensemble_logits(per_expert_logits) -> np.ndarray:
+    """Elementwise mean of the bank's logit matrices, added in bank order."""
+    if not per_expert_logits:
+        raise FusionError("ensemble needs at least one expert's logits")
+    acc = np.zeros_like(per_expert_logits[0])
+    for logits in per_expert_logits:
+        if logits.shape != acc.shape:
+            raise FusionError("ensemble logits disagree in shape")
+        acc = acc + logits
+    return acc / len(per_expert_logits)
+
+
+# --- fusion training ---------------------------------------------------------
 
 
 def train_fusion(system: FusionSystem, train_set, dev_set, hyper: TrainHyper, seed: int,
                  log=None) -> list:
     """`fit` of gate/LN/pool/classifier; returns the per-epoch history.
 
-    `train_set` and `dev_set` are (features, labels) with one
-    `expert_features` list per clip. Expert tensors are barred from the graph
-    entirely and checksum-verified before and after; selection indices are
-    constants within a step, so gradients reach the selected scores only.
+    `train_set` and `dev_set` are (features, labels) with one list of the
+    clip's rows of the bank features [z0, z1, ...] per clip. Expert tensors
+    are barred from the graph entirely and checksum-verified before and
+    after; selection indices are constants within a step, so gradients reach
+    the selected scores only.
     """
     system.verify_bank()
-    params, history = fit(
-        system, *train_set,
-        lambda leaves, z_alls, labels, _rngs: _fusion_loss_nodes(
-            system, leaves, z_alls, [LABEL_INDEX[label] for label in labels]),
-        lambda: dev_eer(lambda z_all: fused_logits(system, z_all)[1], *dev_set),
-        hyper, seed, log,
-    )
+
+    def batch_loss(leaves, z_alls, labels, _rngs):
+        logits = fused_logits(system, leaves, *stack_features(z_alls))
+        return tc.cross_entropy(logits, [LABEL_INDEX[label] for label in labels])
+
+    def epoch_eer():
+        leaves = constant_leaves(system)
+        return dev_eer(lambda z_alls: fused_logits(system, leaves, *stack_features(z_alls)).value,
+                       *dev_set)
+
+    params, history = fit(system, *train_set, batch_loss, epoch_eer, hyper, seed, log)
     system.params = params
     system.verify_bank()
     return history

@@ -26,6 +26,13 @@ constants, frozen leaves and every node off the gradient's path hold none;
 their `.grad` reads zeros. `backward` releases an interior node's buffer once
 its push has passed the gradient on, so afterwards only leaves hold one.
 
+A node needs a gradient when it is a leaf that requires one or has a parent
+that needs one. An op result that needs none keeps its value only (no
+parents, no push, no 2-D or finiteness check), so graph functions run on
+leaves without gradients are plain inference. Leaves, constants and every
+node on a gradient's path are checked, so training stops at the first
+non-finite value that reaches a gradient's path.
+
 A training graph covers a whole minibatch: each clip's rows are stacked
 after the previous clip's, and `row_segments` gives each clip's row slice.
 Row-wise work (products with a weight, bias adds, elementwise ops, layer
@@ -147,17 +154,22 @@ class Node:
     __slots__ = ("value", "_grad", "parents", "op", "requires_grad", "needs_grad", "_push")
 
     def __init__(self, value, parents=(), op="leaf", requires_grad=False, push=None):
-        value = np.asarray(value, dtype=np.float64)
-        if value.ndim != 2:
-            raise ShapeError(f"nodes hold 2-D matrices, got shape {value.shape}")
-        if not np.isfinite(value).all():
-            raise NonFiniteError(f"non-finite values produced by op '{op}'")
+        needs_grad = requires_grad or any(p.needs_grad for p in parents)
+        if needs_grad or not parents:
+            value = np.asarray(value, dtype=np.float64)
+            if value.ndim != 2:
+                raise ShapeError(f"nodes hold 2-D matrices, got shape {value.shape}")
+            if not np.isfinite(value).all():
+                raise NonFiniteError(f"non-finite values produced by op '{op}'")
+            parents = tuple(parents)
+        else:
+            parents, push = (), None
         self.value = value
         self._grad = None
-        self.parents = tuple(parents)
+        self.parents = parents
         self.op = op
         self.requires_grad = requires_grad
-        self.needs_grad = requires_grad or any(p.needs_grad for p in self.parents)
+        self.needs_grad = needs_grad
         self._push = push
 
     @property
@@ -280,18 +292,15 @@ def mean_rows(a: Node, segments=None) -> Node:
     return Node(value, (a,), "mean_rows", push=push)
 
 
-def std_rows_values(x: np.ndarray, eps: float = 1e-12):
-    """Per-column standard deviation over rows; returns (std, centered)."""
-    centered = x - x.mean(axis=0, keepdims=True)
-    var = np.mean(centered * centered, axis=0, keepdims=True)
-    return np.sqrt(var + eps), centered
-
-
 def std_rows(a: Node, eps: float = 1e-12, segments=None) -> Node:
     """(T x D) -> (1 x D) standard deviation over rows (temporal contrast);
     one row per segment."""
     segments = _segments(segments, a.value)
-    stats = [std_rows_values(a.value[seg], eps) for seg in segments]
+    stats = []
+    for seg in segments:
+        centered = a.value[seg] - a.value[seg].mean(axis=0, keepdims=True)
+        var = np.mean(centered * centered, axis=0, keepdims=True)
+        stats.append((np.sqrt(var + eps), centered))
     value = np.concatenate([std for std, _ in stats])
 
     def push(g):

@@ -47,14 +47,17 @@ class TestCriterion1LoraIdentity:
         base = ex.new_expert(ENC, seed=1001)
         injected = ex.lora_inject(base, rank=4, alpha=32.0, dropout_p=0.1, seed=1002)
         rng = np.random.default_rng(1003)
+
+        def infer(model, feats):
+            leaves = ex.constant_leaves(model)
+            frames = tc.row_segments([feats.shape[0]])
+            z = ex.encoder_forward(model, leaves, tc.constant(feats), frames)
+            return z.value, ex.expert_logits(leaves, z, frames).value
+
         for _ in range(100):
             feats = ex.frame_features(random_clip(rng), ENC)
-            assert np.array_equal(
-                ex.encoder_forward(base, feats), ex.encoder_forward(injected, feats)
-            )
-            assert np.array_equal(
-                ex.expert_logits(base, feats), ex.expert_logits(injected, feats)
-            )
+            for got, want in zip(infer(injected, feats), infer(base, feats)):
+                assert np.array_equal(got, want)
         elapsed = time.perf_counter() - start
         report(
             "C1 adapter-injection identity",
@@ -279,11 +282,14 @@ class TestCriterion6FrozenContract:
         bank = [base, ase]
         system = fu.FusionSystem(bank, k=1, seed=64)
         before = [ex.full_checksum(e) for e in bank]
-        train_set, dev_set = (
-            ([fu.expert_features(system.experts, cp.resolve_clip(e, tmp_path)) for e in entries],
-             [e.label for e in entries])
-            for entries in (manifest.split("train"), manifest.split("dev"))
-        )
+        leaves = [ex.constant_leaves(e) for e in bank]
+
+        def features(entries):
+            zs, frames = fu.expert_features(bank, leaves,
+                                            [cp.resolve_clip(e, tmp_path) for e in entries])
+            return [[z.value[seg] for z in zs] for seg in frames], [e.label for e in entries]
+
+        train_set, dev_set = features(manifest.split("train")), features(manifest.split("dev"))
         fu.train_fusion(system, train_set, dev_set, ex.TrainHyper(max_epochs=2), seed=65)
         after = [ex.full_checksum(e) for e in bank]
         assert after == before

@@ -9,12 +9,14 @@ from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from amulet import cli
 from amulet import corpus
 from amulet import experts as ex
 from amulet import fusion as fu
+from amulet.audio import AudioClip, write_wav
 from amulet.config import ConfigError, resolve_config, validate_config
 from oracles import expand_watched
 
@@ -281,6 +283,28 @@ def sha256_file(path) -> str:
 
 
 class TestStageCache:
+    def test_torn_state_file_is_a_stale_cache(self, tmp_path, capsys, monkeypatch):
+        path = write_config(tmp_path, micro_config(tmp_path / "out"))
+        state = tmp_path / "out" / "state"
+        assert cli.main(["--config", path, "synth"]) == 0
+        recorded = (state / "synth.json").read_text()
+        (state / "synth.json").write_text('{"config": "ab')  # what a torn write leaves
+        capsys.readouterr()
+        assert cli.main(["--config", path, "synth"]) == 0
+        assert "[synth] running" in capsys.readouterr().out
+        assert (state / "synth.json").read_text() == recorded
+        assert [p.name for p in state.iterdir()] == ["synth.json"]
+
+        # a crash before the rename leaves the previous state whole
+        def crash(src, dst):
+            raise KeyboardInterrupt
+
+        (state / "synth.json").write_text("{}")
+        monkeypatch.setattr(cli.os, "replace", crash)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["--config", path, "synth"])
+        assert (state / "synth.json").read_text() == "{}"
+
     def test_rewrite_by_a_running_stage_is_seen(self, tmp_path, monkeypatch):
         root = tmp_path / "out"
         config = validate_config(micro_config(root))
@@ -387,6 +411,53 @@ class TestStageCache:
                 expand_watched(root, [outside])
             with pytest.raises(ValueError):
                 pipe._expand([outside])
+
+
+class TestChunkedScoring:
+    def test_chunks_score_bitwise_as_single_clips(self, tmp_path, monkeypatch):
+        """`evaluate` stacks `INFERENCE_CHUNK` clips per inference graph; every
+        system's scores equal those of one clip at a time."""
+        config = validate_config(micro_config(
+            tmp_path / "out", roster=validate_config("default").roster, k_values=[1, 2, 3, 4, 5]))
+        rng = np.random.default_rng(60)
+        base = ex.new_expert(config.encoder, 61)
+        base.tensors["head.w"] = rng.normal(0.0, 0.1, base.tensors["head.w"].shape)
+        bank = [base]
+        for i in range(5):
+            ase = ex.lora_inject(base, 4, 16.0, 0.1, seed=62 + i)
+            for name, value in ase.tensors.items():
+                if name.startswith("lora.b") or name == "head.w":
+                    ase.tensors[name] = rng.normal(0.0, 0.1, value.shape)
+            bank.append(ase)
+        root = tmp_path / "out"
+        (root / "audio").mkdir(parents=True)
+        entries = []
+        # a chunk of 30, 75, 2 and 50 frames, then a short one
+        for i, frames in enumerate((30, 75, 2, 50, 41, 3)):
+            label = ("bonafide", "spoof")[i % 2]
+            rel = f"audio/c{i}.wav"
+            write_wav(root / rel, AudioClip(0.4 * rng.standard_normal(160 * frames), 16000))
+            entries.append(corpus.ManifestEntry(f"c{i}", label, "eval", "T0", i, path=rel))
+        pipe = cli.Pipeline(config, root)
+        monkeypatch.setattr(pipe, "load_manifest", lambda condition: corpus.Manifest(entries))
+        assert ex.INFERENCE_CHUNK == 4
+
+        for renormalize in (False, True):
+            fused = {}
+            for k in range(1, 6):
+                system = fu.FusionSystem(bank, k, renormalize=renormalize, seed=70 + k)
+                for name in ("gate.w", "gate.b", "pool.a", "cls.w2"):
+                    system.params[name] = rng.normal(0.0, 0.5, system.params[name].shape)
+                # specialists 1 and 3 get equal gate scores on every clip
+                system.params["gate.w"][:, 3] = system.params["gate.w"][:, 1]
+                system.params["gate.b"][0, 3] = system.params["gate.b"][0, 1]
+                fused[f"fused_top{k}"] = system
+            chunked = pipe._score_condition(bank, fused, "T0")
+            monkeypatch.setattr(ex, "INFERENCE_CHUNK", 1)
+            single = pipe._score_condition(bank, fused, "T0")
+            monkeypatch.setattr(ex, "INFERENCE_CHUNK", 4)
+            assert chunked[0] == 6 and set(chunked[1]) == set(pipe.system_names())
+            assert chunked == single
 
 
 class InlinePool:

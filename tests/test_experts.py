@@ -6,6 +6,7 @@ import pytest
 
 from amulet import corpus as cp
 from amulet import experts as ex
+from amulet import fusion as fu
 from amulet import tensor as tc
 from amulet.audio import AudioClip
 
@@ -25,6 +26,15 @@ ENC = ex.EncoderConfig()
 def random_clip(seed, seconds=2.0, sr=16000):
     rng = np.random.default_rng(seed)
     return AudioClip(0.4 * rng.standard_normal(int(seconds * sr)), sr, f"rc{seed}", "bonafide")
+
+
+def infer(model, feats):
+    """(encoder output, logits) of the clips with frame matrices `feats`, as
+    one inference graph on the model's constant leaves."""
+    leaves = ex.constant_leaves(model)
+    frames = tc.row_segments(f.shape[0] for f in feats)
+    z = ex.encoder_forward(model, leaves, tc.constant(np.concatenate(feats)), frames)
+    return z.value, ex.expert_logits(leaves, z, frames).value
 
 
 @pytest.fixture(scope="module")
@@ -112,12 +122,8 @@ class TestLoraInject:
         injected = ex.lora_inject(base, rank=4, alpha=16.0, dropout_p=0.1, seed=4)
         for seed in range(5):
             feats = ex.frame_features(random_clip(seed), ENC)
-            assert np.array_equal(
-                ex.encoder_forward(base, feats), ex.encoder_forward(injected, feats)
-            )
-            assert np.array_equal(
-                ex.expert_logits(base, feats), ex.expert_logits(injected, feats)
-            )
+            for got, want in zip(infer(injected, [feats]), infer(base, [feats])):
+                assert np.array_equal(got, want)
 
     def test_trainable_count_formula_and_brute_force(self):
         rng = np.random.default_rng(11)
@@ -160,14 +166,23 @@ class TestLoraInject:
 
 class TestForwardGradients:
     def test_graph_forward_matches_plain_bitwise(self):
-        model = ex.lora_inject(ex.new_expert(ENC, 5), 4, 16.0, 0.1, seed=6)
-        rng = np.random.default_rng(0)
-        model.tensors["lora.b1"] = rng.normal(0, 0.1, model.tensors["lora.b1"].shape)
-        feats = ex.frame_features(random_clip(9), ENC)
-        plain = ex.encoder_forward(model, feats)
+        """Inference on constant leaves keeps no graph and gives bitwise the
+        values of the graph whose leaves train."""
+        model = with_live_head(ex.lora_inject(ex.new_expert(ENC, 5), 4, 16.0, 0.1, seed=6), 0)
+        feats = [ex.frame_features(random_clip(9 + i, s), ENC) for i, s in enumerate((1.0, 0.3))]
+        frames = tc.row_segments(f.shape[0] for f in feats)
+        plain = ex.constant_leaves(model)
+        plain_z = ex.encoder_forward(model, plain, tc.constant(np.concatenate(feats)), frames)
+        plain_logits = ex.expert_logits(plain, plain_z, frames)
         leaves = ex.make_leaves(model)
-        graph = ex.encoder_forward_nodes(model, leaves, [feats])
-        assert np.array_equal(plain, graph.value)
+        graph_z = ex.encoder_forward(model, leaves, tc.constant(np.concatenate(feats)), frames)
+        graph_logits = ex.expert_logits(leaves, graph_z, frames)
+        assert plain_logits.value.shape == (2, 2)
+        for node in (plain_z, plain_logits):
+            assert node.parents == () and node._push is None and not node.needs_grad
+        assert graph_logits.parents and graph_logits.needs_grad
+        assert np.array_equal(plain_z.value, graph_z.value)
+        assert np.array_equal(plain_logits.value, graph_logits.value)
 
     def test_expert_loss_matches_finite_differences(self):
         cfg = ex.EncoderConfig(frame_len=12, hop=12, hidden_dims=(6, 6))
@@ -196,33 +211,37 @@ class TestForwardGradients:
         for name in ("lora.b0", "lora.b1", "lora.b2", "head.w"):
             model.tensors[name] = rng.normal(0, 0.1, model.tensors[name].shape)
         feats = ex.frame_features(random_clip(6, seconds=1.0), ENC)
-        layer0 = tc.matmul_values(feats, model.tensors["enc.w0"])
+        # x@W0 stands in while enc.w0 is frozen; x@A0 never does, since
+        # lora.a0 trains (and the dropout mask, when drawn, changes its input)
+        layer0 = (tc.constant(tc.matmul_values(feats, model.tensors["enc.w0"])),
+                  tc.constant(tc.matmul_values(feats, model.tensors["lora.a0"])))
 
-        def loss_and_leaves(cached, leaked=False):
+        def loss_and_leaves(cached, leaked, dropout):
             leaves = ex.make_leaves(model)
             if leaked:
                 leaves["enc.w0"] = tc.Node(model.tensors["enc.w0"], requires_grad=True)
-            drop_rng = np.random.Generator(np.random.Philox(7))
-            loss = ex.loss_nodes(model, leaves, [feats], ["spoof"], [drop_rng],
-                                 [layer0] if cached else None)
+            rngs = [np.random.Generator(np.random.Philox(7))] if dropout else None
+            loss = ex.loss_nodes(model, leaves, [feats], ["spoof"], rngs,
+                                 layer0 if cached else None)
             tc.backward(loss)
             return loss, leaves
 
-        for leaked in (False, True):
-            graph_loss, graph = loss_and_leaves(False, leaked)
-            cached_loss, cached = loss_and_leaves(True, leaked)
+        for leaked, dropout in ((False, True), (True, True), (False, False)):
+            graph_loss, graph = loss_and_leaves(False, leaked, dropout)
+            cached_loss, cached = loss_and_leaves(True, leaked, dropout)
             assert np.array_equal(cached_loss.value, graph_loss.value)
             for name, node in graph.items():
                 if node.requires_grad:
                     assert np.array_equal(cached[name].grad, node.grad), (leaked, name)
-        # a leaked gradient on enc.w0 still reaches the graph
-        assert np.any(cached["enc.w0"].grad != 0)
+            assert np.any(cached["lora.a0"].grad != 0)
+            # a leaked gradient on enc.w0 still reaches the graph
+            assert np.any(cached["enc.w0"].grad != 0) == leaked
 
     def test_zero_features_zero_bias_gives_zero_output(self):
         model = ex.new_expert(ENC, 2)
         for i in range(model.n_layers):
             model.tensors[f"enc.b{i}"] = np.zeros_like(model.tensors[f"enc.b{i}"])
-        out = ex.encoder_forward(model, np.zeros((4, 160)))
+        out, _ = infer(model, [np.zeros((4, 160))])
         assert np.array_equal(out, np.zeros((4, 64)))
 
 
@@ -251,7 +270,8 @@ class TestBatchedLoss:
 
         layer0 = [tc.matmul_values(f, model.tensors["enc.w0"]) for f in feats] if cached else None
         leaves = ex.make_leaves(model)
-        loss = ex.loss_nodes(model, leaves, feats, labels, rngs(), layer0)
+        loss = ex.loss_nodes(model, leaves, feats, labels, rngs(),
+                             None if layer0 is None else (tc.constant(np.concatenate(layer0)), None))
         tc.backward(loss)
 
         ref_leaves = ex.make_leaves(model)
@@ -264,7 +284,7 @@ class TestBatchedLoss:
         ])
         tc.backward(ref)
         assert np.array_equal(loss.value, ref.value)
-        for name in model.trainable_names():
+        for name in [n for n in sorted(model.tensors) if n not in model.frozen]:
             assert np.any(ref_leaves[name].grad != 0), name
             assert np.array_equal(leaves[name].grad, ref_leaves[name].grad), name
 
@@ -315,7 +335,7 @@ class TestFitAgainstPerClipTrainer:
 
         def epoch_eer():
             snapshots.append({n: v.copy() for n, v in work.tensors.items()})
-            return ex.dev_eer(lambda f: ex.expert_logits(work, f), dev, dev_labels)
+            return ex.dev_eer(lambda chunk: infer(work, chunk)[1], dev, dev_labels)
 
         hyper = ex.TrainHyper(lr=0.05, batch_size=4, max_epochs=4, plateau_epochs=1)
         best, history = trainer(work, clips, labels, loss_fn(work), epoch_eer, hyper, 41)
@@ -336,7 +356,7 @@ class TestFitAgainstPerClipTrainer:
         def batched(work):
             def batch_loss(leaves, clips, labels, rngs):
                 return ex.loss_nodes(work, leaves, [c[0] for c in clips], labels, rngs,
-                                     [c[1] for c in clips])
+                                     (tc.constant(np.concatenate([c[1] for c in clips])), None))
             return batch_loss
 
         def per_clip(work):
@@ -368,31 +388,45 @@ def adapted_bank(base, ranks, seed):
 
 
 class TestBankForward:
+    """`fusion.expert_features`: the bank's features of a chunk of clips."""
+
+    SECONDS = (0.3, 0.75, 0.02, 0.5)  # 30, 75, 2 and 50 frames
+
     @staticmethod
-    def forward_counting_layer0(bank, feats, monkeypatch):
-        """bank_forward's outputs and the number of products taken of `feats`."""
+    def features_counting_layer0(bank, clips, monkeypatch):
+        """expert_features' outputs and the products it takes of raw frames."""
         calls = []
         original = tc.matmul_values
 
         def counting(a, b):
-            if a is feats:
+            if a.shape[1] == ENC.frame_len:
                 calls.append(b.shape)
             return original(a, b)
 
         monkeypatch.setattr(tc, "matmul_values", counting)
-        out = ex.bank_forward(bank, feats)
+        out = fu.expert_features(bank, [ex.constant_leaves(m) for m in bank], clips)
         monkeypatch.setattr(tc, "matmul_values", original)
         return out, calls
+
+    @staticmethod
+    def assert_per_expert_per_clip(bank, clips, zs, frames):
+        """Each expert's rows of each clip are bitwise its own forward of
+        that clip alone."""
+        assert len(zs) == len(bank)
+        for model, z in zip(bank, zs):
+            assert z.parents == ()
+            for clip, seg in zip(clips, frames):
+                alone, _ = infer(model, [ex.frame_features(clip, ENC)])
+                assert np.array_equal(z.value[seg], alone)
 
     def test_bitwise_equal_to_per_expert_forward(self, monkeypatch):
         # rank 1 takes the looped single-column path in a separate x@A product
         bank = adapted_bank(ex.new_expert(ENC, 40), ranks=(4, 1, 2, 4, 4), seed=41)
-        feats = ex.frame_features(random_clip(42), ENC)
-        out, calls = self.forward_counting_layer0(bank, feats, monkeypatch)
-        assert calls == [(160, 64 + 4 + 1 + 2 + 4 + 4)]  # one layer-0 product for all six
-        assert len(out) == len(bank)
-        for model, z in zip(bank, out):
-            assert np.array_equal(z, ex.encoder_forward(model, feats))
+        clips = [random_clip(42 + i, s) for i, s in enumerate(self.SECONDS)]
+        (zs, frames), calls = self.features_counting_layer0(bank, clips, monkeypatch)
+        assert calls == [(160, 64 + 4 + 1 + 2 + 4 + 4)]  # one layer-0 product for the chunk
+        assert [seg.stop - seg.start for seg in frames] == [30, 75, 2, 50]
+        self.assert_per_expert_per_clip(bank, clips, zs, frames)
 
     def test_experts_with_their_own_layer0(self, monkeypatch):
         rng = np.random.default_rng(43)
@@ -401,11 +435,10 @@ class TestBankForward:
         other_base.tensors["enc.w0"] = other_base.tensors["enc.w0"] + rng.normal(0.0, 0.01, (160, 64))
         bank += adapted_bank(other_base, ranks=(1,), seed=47)  # a base and an adapter on it
         bank[2].tensors["enc.b0"] = rng.normal(0.0, 0.1, (1, 64))  # own bias, shared weight
-        feats = ex.frame_features(random_clip(48), ENC)
-        out, calls = self.forward_counting_layer0(bank, feats, monkeypatch)
+        clips = [random_clip(48 + i, s) for i, s in enumerate(self.SECONDS)]
+        (zs, frames), calls = self.features_counting_layer0(bank, clips, monkeypatch)
         assert calls == [(160, 64 + 4 + 1 + 2), (160, 64), (160, 64), (160, 1)]
-        for model, z in zip(bank, out):
-            assert np.array_equal(z, ex.encoder_forward(model, feats))
+        self.assert_per_expert_per_clip(bank, clips, zs, frames)
 
 
 class TestFit:
@@ -468,12 +501,12 @@ class TestTraining:
 
         feats = [ex.frame_features(cp.resolve_clip(e, root), ENC) for e in manifest.split("dev")]
         labels = [e.label for e in manifest.split("dev")]
-        before = ex.dev_eer(lambda f: ex.expert_logits(model, f), feats, labels)
+        before = ex.dev_eer(lambda chunk: infer(model, chunk)[1], feats, labels)
         path = tmp_path / "e0.json"
         saved_checksum = ex.save_expert_checkpoint(model, path)
         reloaded, checksum = ex.load_expert_checkpoint(path)
         assert checksum == saved_checksum
-        assert ex.dev_eer(lambda f: ex.expert_logits(reloaded, f), feats, labels) == before
+        assert ex.dev_eer(lambda chunk: infer(reloaded, chunk)[1], feats, labels) == before
         for name in model.tensors:
             assert np.array_equal(model.tensors[name], reloaded.tensors[name])
 
@@ -553,9 +586,7 @@ class TestCheckpoints:
         restored, checksum = ex.load_adapter_checkpoint(adapter_path, base)
         assert checksum == saved_checksum
         feats = ex.frame_features(random_clip(3), ENC)
-        assert np.array_equal(
-            ex.expert_logits(restored, feats), ex.expert_logits(injected, feats)
-        )
+        assert np.array_equal(infer(restored, [feats])[1], infer(injected, [feats])[1])
 
     def test_adapter_binding_mismatch_fails(self, tmp_path):
         base = ex.new_expert(ENC, 14)

@@ -47,183 +47,261 @@ def synth_entries(n=8, condition="T0"):
     return entries
 
 
+def bank_leaves(system):
+    return [ex.constant_leaves(e) for e in system.experts]
+
+
 def feature_set(system, entries):
     """(features, labels) of synthesized entries, as `train_fusion` takes them."""
-    return ([fu.expert_features(system.experts, cp.resolve_clip(e, ".")) for e in entries],
-            [e.label for e in entries])
+    z_alls = []
+    for entry in entries:
+        zs, _ = fu.expert_features(system.experts, bank_leaves(system), [cp.resolve_clip(entry, ".")])
+        z_alls.append([z.value for z in zs])
+    return z_alls, [e.label for e in entries]
 
 
 def score(system, clip) -> float:
-    _, logits = fu.fused_logits(system, fu.expert_features(system.experts, clip))
+    zs, frames = fu.expert_features(system.experts, bank_leaves(system), [clip])
+    logits = fu.fused_logits(system, ex.constant_leaves(system), zs, frames).value
     return float(logits[0, 0] - logits[0, 1])
 
 
+def fusion_loss(system, leaves, z_alls, labels):
+    """The mean cross-entropy that `train_fusion` minimizes."""
+    return tc.cross_entropy(fu.fused_logits(system, leaves, *fu.stack_features(z_alls)), labels)
+
+
+def probe(system, z_alls, monkeypatch, scores=None, fused=None):
+    """Run `fused_logits` on constant leaves over clips with features
+    `z_alls` and return each step's output: the gate's softmax "scores", the
+    top-k "mixed" features, the layer-normed "fused" features, the
+    attention-"pooled" rows and the "logits". Given `scores` or `fused`
+    stand in for that step's output."""
+    seen = {}
+
+    def step(name, key, replacement):
+        real = getattr(tc, name)
+
+        def run(*args, **kwargs):
+            seen[key] = real(*args, **kwargs) if replacement is None else tc.constant(replacement)
+            return seen[key]
+
+        monkeypatch.setattr(tc, name, run)
+
+    step("softmax_rows", "scores", scores)
+    step("topk_mix", "mixed", None)
+    step("layer_norm", "fused", fused)
+    step("attention_pool", "pooled", None)
+    seen["logits"] = fu.fused_logits(system, ex.constant_leaves(system),
+                                     *fu.stack_features(z_alls))
+    monkeypatch.undo()
+    return {key: node.value for key, node in seen.items()}
+
+
+def route(system, z0s, monkeypatch):
+    """The gate's scores and, per clip, its selected specialists, for clips
+    whose shared features are `z0s`: specialist i's features are ones in
+    column i, so a clip's mixed rows are nonzero where it selected."""
+    tracks = [np.eye(1, system.dim, i) for i in range(system.n_specialists)]
+    z_alls = [[z0] + [np.repeat(t, z0.shape[0], axis=0) for t in tracks] for z0 in z0s]
+    out = probe(system, z_alls, monkeypatch)
+    starts = np.cumsum([0] + [z0.shape[0] for z0 in z0s[:-1]])
+    selected = [tuple(int(i) for i in np.flatnonzero(out["mixed"][r, : system.n_specialists]))
+                for r in starts]
+    return out["scores"], selected
+
+
+def gated(gate_w=None, gate_b=None, k=3, n=5, renormalize=False):
+    system = fu.FusionSystem(make_bank(n_specialists=n), k=k, renormalize=renormalize, seed=12)
+    if gate_w is not None:
+        system.params["gate.w"] = gate_w
+    if gate_b is not None:
+        system.params["gate.b"] = gate_b
+    return system
+
+
 class TestGateScores:
-    def test_uniform_scores_tie_break_lowest(self):
-        z0 = np.random.default_rng(0).standard_normal((6, 8))
-        decision = fu.gate_scores(z0, np.zeros((8, 5)), np.zeros((1, 5)), k=3)
-        assert np.allclose(decision.scores, 0.2)
-        assert decision.selected == (0, 1, 2)
+    def test_uniform_scores_tie_break_lowest(self, monkeypatch):
+        z0s = [np.random.default_rng(0).standard_normal((6, 8))]
+        scores, selected = route(gated(), z0s, monkeypatch)  # zero gate: every score ties
+        assert np.allclose(scores, 0.2)
+        assert selected == [(0, 1, 2)]
 
-    def test_topk_by_definition(self):
-        scores = np.array([0.10, 0.50, 0.20, 0.15, 0.05])
-        logits = np.log(scores)
-        z0 = np.zeros((2, 3))
-        gate_w = np.zeros((3, 5))
-        decision = fu.gate_scores(z0, gate_w, logits.reshape(1, -1), k=3)
-        assert np.allclose(decision.scores, scores, atol=1e-12)
-        assert decision.selected == (1, 2, 3)
+    def test_topk_by_definition(self, monkeypatch):
+        want = np.array([0.10, 0.50, 0.20, 0.15, 0.05])
+        system = gated(np.zeros((8, 5)), np.log(want).reshape(1, -1))
+        scores, selected = route(system, [np.zeros((2, 8))], monkeypatch)
+        assert np.allclose(scores, want, atol=1e-12)
+        assert selected == [(1, 2, 3)]
 
-    def test_scores_sum_to_one(self):
+    def test_scores_sum_to_one(self, monkeypatch):
         rng = np.random.default_rng(1)
-        for _ in range(20):
-            z0 = rng.standard_normal((4, 8))
-            decision = fu.gate_scores(z0, rng.standard_normal((8, 5)), rng.standard_normal((1, 5)), 2)
-            assert abs(decision.scores.sum() - 1.0) < 1e-9
+        for _ in range(5):
+            system = gated(rng.standard_normal((8, 5)), rng.standard_normal((1, 5)), k=2)
+            z0s = [rng.standard_normal((t, 8)) for t in (4, 1, 7, 3)]
+            scores, selected = route(system, z0s, monkeypatch)
+            assert scores.shape == (4, 5)
+            assert np.all(np.abs(scores.sum(axis=1) - 1.0) < 1e-9)
+            assert all(len(chosen) == 2 for chosen in selected)
 
     def test_k_exceeding_specialists_rejected(self):
-        with pytest.raises(fu.FusionError, match="exceeds"):
-            fu.gate_scores(np.zeros((2, 8)), np.zeros((8, 3)), np.zeros((1, 3)), k=4)
+        with pytest.raises(fu.FusionError, match="outside"):
+            fu.FusionSystem(make_bank(n_specialists=3), k=4)
+        with pytest.raises(tc.ShapeError):
+            tc.topk_mix(tc.constant(np.full((1, 3), 1 / 3)), [np.zeros((2, 8))] * 3, 4, False)
 
-    def test_selection_invariant_to_preactivation_shift(self):
+    def test_selection_invariant_to_preactivation_shift(self, monkeypatch):
         rng = np.random.default_rng(2)
-        z0 = rng.standard_normal((5, 8))
+        z0s = [rng.standard_normal((5, 8)), rng.standard_normal((3, 8))]
         gate_w = rng.standard_normal((8, 5))
         bias = rng.standard_normal((1, 5))
-        base = fu.gate_scores(z0, gate_w, bias, k=3)
-        shifted = fu.gate_scores(z0, gate_w, bias + 123.0, k=3)
-        assert shifted.selected == base.selected
-        assert np.max(np.abs(shifted.scores - base.scores)) < 1e-12
+        base = route(gated(gate_w, bias), z0s, monkeypatch)
+        shifted = route(gated(gate_w, bias + 123.0), z0s, monkeypatch)
+        assert shifted[1] == base[1]
+        assert np.max(np.abs(shifted[0] - base[0])) < 1e-12
 
-    def test_topk_nesting(self):
+    def test_topk_nesting(self, monkeypatch):
         rng = np.random.default_rng(3)
-        z0 = rng.standard_normal((5, 8))
+        z0s = [rng.standard_normal((5, 8)), rng.standard_normal((2, 8))]
         gate_w = rng.standard_normal((8, 5))
         bias = rng.standard_normal((1, 5))
-        previous = set()
+        previous = [set(), set()]
         for k in range(1, 6):
-            selected = set(fu.gate_scores(z0, gate_w, bias, k).selected)
-            assert previous <= selected
-            previous = selected
+            _, selected = route(gated(gate_w, bias, k=k), z0s, monkeypatch)
+            for clip, chosen in enumerate(selected):
+                assert len(chosen) == k and previous[clip] <= set(chosen)
+                previous[clip] = set(chosen)
+
+
+def layer_norm(x, gain, bias):
+    out, _, _ = tc.layer_norm_values(x, gain, bias, fu.LN_EPS)
+    return out
 
 
 class TestFuse:
-    def test_zero_weights_reduce_to_shared(self):
+    """The gate-weighted mix plus shared features, layer-normed, inside
+    `fused_logits`, with given gate scores."""
+
+    def test_zero_weights_reduce_to_shared(self, monkeypatch):
         rng = np.random.default_rng(4)
-        z0 = rng.standard_normal((6, 8))
-        z_list = [rng.standard_normal((6, 8)) for _ in range(3)]
-        decision = fu.GateDecision(np.zeros(3), (0, 1))
-        gain, bias = np.ones((1, 8)), np.zeros((1, 8))
-        out = fu.fuse(z_list, z0, decision, gain, bias)
-        expected, _, _ = tc.layer_norm_values(z0, gain, bias, fu.LN_EPS)
-        assert np.array_equal(out, expected)
+        z_all = [rng.standard_normal((6, 8)) for _ in range(4)]
+        out = probe(gated(k=2, n=3), [z_all], monkeypatch, scores=np.zeros((1, 3)))
+        assert np.array_equal(out["fused"], layer_norm(z_all[0], np.ones((1, 8)), np.zeros((1, 8))))
 
-    def test_degenerate_single_expert(self):
+    def test_degenerate_single_expert(self, monkeypatch):
         rng = np.random.default_rng(5)
-        z0 = rng.standard_normal((4, 8))
-        z1 = rng.standard_normal((4, 8))
-        decision = fu.GateDecision(np.array([1.0]), (0,))
-        gain, bias = np.ones((1, 8)), np.zeros((1, 8))
-        out = fu.fuse([z1], z0, decision, gain, bias)
-        expected, _, _ = tc.layer_norm_values(z1 + z0, gain, bias, fu.LN_EPS)
-        assert np.array_equal(out, expected)
+        z0, z1 = rng.standard_normal((4, 8)), rng.standard_normal((4, 8))
+        out = probe(gated(k=1, n=1), [[z0, z1]], monkeypatch, scores=np.ones((1, 1)))
+        assert np.array_equal(out["fused"], layer_norm(z1 + z0, np.ones((1, 8)), np.zeros((1, 8))))
 
-    def test_matches_naive_loop_oracle(self):
+    def test_matches_naive_loop_oracle(self, monkeypatch):
         rng = np.random.default_rng(6)
-        for _ in range(20):
+        for renormalize in [False, True] * 5:
             t, d, n = 5, 8, 4
-            z0 = rng.standard_normal((t, d))
-            z_list = [rng.standard_normal((t, d)) for _ in range(n)]
+            system = gated(k=2, n=n, renormalize=renormalize)
+            system.params["ln.g"] = rng.uniform(0.5, 1.5, (1, d))
+            system.params["ln.b"] = rng.standard_normal((1, d)) * 0.1
+            gain, bias = system.params["ln.g"], system.params["ln.b"]
+            z_all = [rng.standard_normal((t, d)) for _ in range(n + 1)]
             scores = rng.dirichlet(np.ones(n))
-            selected = tuple(sorted(rng.choice(n, size=2, replace=False).tolist()))
-            gain = rng.uniform(0.5, 1.5, (1, d))
-            bias = rng.standard_normal((1, d)) * 0.1
-            out = fu.fuse(z_list, z0, fu.GateDecision(scores, selected), gain, bias)
+            out = probe(system, [z_all], monkeypatch, scores=scores.reshape(1, -1))
 
-            # naive per-element recomputation
+            # naive per-element recomputation over the two largest scores
+            selected = sorted(np.argsort(-scores)[:2])
+            weights = scores / sum(scores[i] for i in selected) if renormalize else scores
             acc = np.zeros((t, d))
             for i in selected:
                 for r in range(t):
                     for c in range(d):
-                        acc[r, c] += scores[i] * z_list[i][r, c]
-            acc += z0
+                        acc[r, c] += weights[i] * z_all[1 + i][r, c]
+            acc += z_all[0]
             expected = np.empty_like(acc)
             for r in range(t):
                 row = acc[r]
                 mu = row.mean()
                 var = ((row - mu) ** 2).mean()
                 expected[r] = (row - mu) / np.sqrt(var + fu.LN_EPS) * gain[0] + bias[0]
-            assert np.max(np.abs(out - expected)) < 1e-12
+            assert np.max(np.abs(out["fused"] - expected)) < 1e-12
 
-    def test_full_selection_uniform_gate_equals_plain_sum(self):
+    def test_full_selection_uniform_gate_equals_plain_sum(self, monkeypatch):
         rng = np.random.default_rng(7)
         n = 4
-        z0 = rng.standard_normal((5, 8))
-        z_list = [rng.standard_normal((5, 8)) for _ in range(n)]
-        uniform = fu.GateDecision(np.full(n, 1.0 / n), tuple(range(n)))
-        gain, bias = np.ones((1, 8)), np.zeros((1, 8))
-        out = fu.fuse(z_list, z0, uniform, gain, bias)
+        z_all = [rng.standard_normal((5, 8)) for _ in range(n + 1)]
+        # the zero-initialized gate scores every specialist 1/n
+        out = probe(gated(k=n, n=n), [z_all], monkeypatch)
         total = np.zeros((5, 8))
-        for z in z_list:
+        for z in z_all[1:]:
             total = total + z / n
-        expected, _, _ = tc.layer_norm_values(total + z0, gain, bias, fu.LN_EPS)
-        assert np.max(np.abs(out - expected)) < 1e-12
+        expected = layer_norm(total + z_all[0], np.ones((1, 8)), np.zeros((1, 8)))
+        assert np.max(np.abs(out["fused"] - expected)) < 1e-12
 
-    def test_shape_mismatch_rejected(self):
+    def test_shape_mismatch_rejected(self, monkeypatch):
         with pytest.raises(tc.ShapeError):
-            fu.fuse(
-                [np.zeros((3, 8))], np.zeros((4, 8)),
-                fu.GateDecision(np.ones(1), (0,)), np.ones((1, 8)), np.zeros((1, 8)),
-            )
+            probe(gated(k=1, n=1), [[np.zeros((4, 8)), np.zeros((3, 8))]], monkeypatch)
 
 
 class TestHeadForward:
-    def _params(self, d=8, seed=8):
-        return fu.init_fusion_params(d, 4, seed)
+    """Attention pooling, projection and classifier inside `fused_logits`,
+    on given fused features."""
 
-    def test_single_step_pooling_is_identity(self):
-        params = self._params()
+    def _system(self, seed=8):
+        system = gated(n=4, k=2)
+        system.params = fu.init_fusion_params(8, 4, seed)
+        return system
+
+    def test_single_step_pooling_is_identity(self, monkeypatch):
+        system = self._system()
+        params = system.params
         rng = np.random.default_rng(9)
         z = rng.standard_normal((1, 8))
         params["pool.a"] = rng.standard_normal((8, 1))
-        logits = fu.head_forward(z, params)
+        z_all = [np.zeros((1, 8))] * 5
+        logits = probe(system, [z_all], monkeypatch, fused=z)["logits"]
         pooled = z  # T = 1: softmax over one step is 1
         proj = pooled @ params["pool.proj"]
         hidden = np.tanh(proj @ params["cls.w1"] + params["cls.b1"])
         expected = hidden @ params["cls.w2"] + params["cls.b2"]
         assert np.allclose(logits, expected, atol=1e-12)
 
-    def test_attention_weights_sum_to_one(self):
-        params = self._params()
+    def test_attention_weights_sum_to_one(self, monkeypatch):
+        system = self._system()
         rng = np.random.default_rng(10)
-        params["pool.a"] = rng.standard_normal((8, 1))
-        z = rng.standard_normal((7, 8))
-        att = tc.softmax_values((z @ params["pool.a"]).T)
-        assert abs(att.sum() - 1.0) < 1e-12
+        system.params["pool.a"] = rng.standard_normal((8, 1))
+        # each clip's frames are one row repeated: the pooled row is that
+        # row times the sum of the clip's attention weights
+        rows = rng.standard_normal((3, 8))
+        lengths = (7, 1, 4)
+        fused = np.concatenate([np.repeat(rows[c : c + 1], t, axis=0)
+                                for c, t in enumerate(lengths)])
+        z_alls = [[np.zeros((t, 8))] * 5 for t in lengths]
+        pooled = probe(system, z_alls, monkeypatch, fused=fused)["pooled"]
+        assert np.max(np.abs(pooled - rows)) < 1e-12
 
-    def test_zero_input_zero_biases_gives_zero_logits(self):
-        params = self._params()
-        logits = fu.head_forward(np.zeros((5, 8)), params)
-        assert np.array_equal(logits, np.zeros((1, 2)))
+    def test_zero_input_zero_biases_gives_zero_logits(self, monkeypatch):
+        system = self._system()
+        z_alls = [[np.ones((5, 8))] * 5, [np.ones((2, 8))] * 5]
+        logits = probe(system, z_alls, monkeypatch, fused=np.zeros((7, 8)))["logits"]
+        assert np.array_equal(logits, np.zeros((2, 2)))
 
 
 class TestEnsemble:
     def test_identical_logits(self):
-        row = np.array([1.5, -0.5])
-        assert np.array_equal(fu.ensemble_logits([row, row, row]), row)
+        logits = np.array([[1.5, -0.5], [0.25, 2.0]])
+        assert np.array_equal(fu.ensemble_logits([logits, logits, logits]), logits)
 
     def test_symmetry(self):
-        out = fu.ensemble_logits([np.array([2.0, 0.0]), np.array([0.0, 2.0])])
-        assert np.array_equal(out, np.array([1.0, 1.0]))
+        out = fu.ensemble_logits([np.array([[2.0, 0.0]]), np.array([[0.0, 2.0]])])
+        assert np.array_equal(out, np.array([[1.0, 1.0]]))
 
     def test_matches_naive_accumulation(self):
         rng = np.random.default_rng(11)
-        rows = [rng.standard_normal(2) for _ in range(6)]
-        out = fu.ensemble_logits(rows)
-        acc = np.zeros(2)
-        for row in rows:
-            acc = acc + row
-        assert np.array_equal(out, acc / 6)
+        experts = [rng.standard_normal((3, 2)) for _ in range(6)]
+        out = fu.ensemble_logits(experts)
+        for r in range(3):  # each clip's row, added expert by expert in bank order
+            acc = np.zeros(2)
+            for logits in experts:
+                acc = acc + logits[r]
+            assert np.array_equal(out[r], acc / 6)
 
     def test_empty_rejected(self):
         with pytest.raises(fu.FusionError):
@@ -273,12 +351,12 @@ class TestTrainFusion:
         z_all = [rng.standard_normal((4, 8)) for _ in range(4)]
 
         def loss_value(params):
-            probe = fu.FusionSystem(system.experts, system.k, dict(params), system.renormalize)
+            other = fu.FusionSystem(system.experts, system.k, dict(params), system.renormalize)
             leaves = {name: tc.Node(v, requires_grad=True) for name, v in params.items()}
-            return float(fu._fusion_loss_nodes(probe, leaves, [z_all], [1]).value[0, 0])
+            return float(fusion_loss(other, leaves, [z_all], [1]).value[0, 0])
 
         leaves = {name: tc.Node(v, requires_grad=True) for name, v in system.params.items()}
-        loss = fu._fusion_loss_nodes(system, leaves, [z_all], [1])
+        loss = fusion_loss(system, leaves, [z_all], [1])
         tc.backward(loss)
         fd = finite_difference_grads(loss_value, {k: v.copy() for k, v in system.params.items()})
         for name in system.params:
@@ -290,13 +368,13 @@ class TestTrainFusion:
         system.params["gate.w"] = rng.normal(0, 0.2, system.params["gate.w"].shape)
         z_all = [rng.standard_normal((3, 8)) for _ in range(4)]
         leaves = {name: tc.Node(v, requires_grad=True) for name, v in system.params.items()}
-        loss = fu._fusion_loss_nodes(system, leaves, [z_all], [0])
+        loss = fusion_loss(system, leaves, [z_all], [0])
         tc.backward(loss)
 
         def loss_value(params):
-            probe = fu.FusionSystem(system.experts, system.k, dict(params), True)
+            other = fu.FusionSystem(system.experts, system.k, dict(params), True)
             l2 = {name: tc.Node(v, requires_grad=True) for name, v in params.items()}
-            return float(fu._fusion_loss_nodes(probe, l2, [z_all], [0]).value[0, 0])
+            return float(fusion_loss(other, l2, [z_all], [0]).value[0, 0])
 
         fd = finite_difference_grads(loss_value, {k: v.copy() for k, v in system.params.items()})
         for name in ("gate.w", "ln.g", "pool.a", "cls.w1"):
@@ -310,6 +388,7 @@ class TestTrainFusion:
         for name in ("gate.w", "gate.b", "pool.a", "cls.w2"):
             system.params[name] = rng.normal(0, 0.5, system.params[name].shape)
         # clips of different lengths; the third clip's gate scores tie
+        system.params["gate.b"] = np.zeros((1, 5))
         z_alls = [[rng.standard_normal((t, 8)) for _ in range(6)] for t in (7, 12, 3, 9)]
         z_alls[2][0] = np.zeros((3, 8))
         labels = [0, 1, 1, 0]
@@ -318,7 +397,7 @@ class TestTrainFusion:
             return {name: tc.Node(v, requires_grad=True) for name, v in system.params.items()}
 
         batched = leaves()
-        loss = fu._fusion_loss_nodes(system, batched, z_alls, labels)
+        loss = fusion_loss(system, batched, z_alls, labels)
         tc.backward(loss)
         per_clip = leaves()
         ref = mean_of_clip_losses([fusion_clip_loss(system, per_clip, z_all, label)

@@ -357,3 +357,67 @@ class TestBackward:
         a = tc.constant(np.array([[1.0, 2.0]]))
         b = tc.constant(np.array([[3.0]]))
         assert np.array_equal(tc.hconcat(a, b).value, [[1.0, 2.0, 3.0]])
+
+
+
+class TestGradientFreeNodes:
+    """An op result that needs no gradient keeps its value only."""
+
+    @staticmethod
+    def ops():
+        """(name, build) pairs: `build(x)` applies one op, with `x` (7 x 4, in
+        segments of 3 and 4 rows) the operand that may need a gradient."""
+        rng = np.random.default_rng(20)
+        segs = tc.row_segments([3, 4])
+        rows = tc.row_segments([1, 1])
+        w = tc.constant(rng.standard_normal((4, 6)))
+        left = tc.constant(rng.standard_normal((2, 7)))
+        other = tc.constant(rng.standard_normal((7, 4)))
+        att = tc.constant(rng.standard_normal((7, 1)))
+        a = tc.constant(rng.standard_normal((4, 1)))
+        gain = tc.constant(rng.uniform(0.5, 1.5, (1, 4)))
+        bias = tc.constant(rng.normal(0.0, 0.1, (1, 4)))
+        gate = tc.constant(rng.standard_normal((4, 3)))
+        tracks = [rng.standard_normal((7, 4)) for _ in range(3)]
+        return [
+            ("matmul", lambda x: tc.matmul(x, w, segs)),
+            ("matmul right", lambda x: tc.matmul(left, x)),
+            ("add", lambda x: tc.add(x, other)),
+            ("add row", lambda x: tc.add(other, tc.mean_rows(x), segs)),
+            ("mul", lambda x: tc.mul(x, other)),
+            ("scale", lambda x: tc.scale(x, -1.5)),
+            ("tanh", tc.tanh),
+            ("mean_rows", lambda x: tc.mean_rows(x, segs)),
+            ("std_rows", lambda x: tc.std_rows(x, segments=segs)),
+            ("pair_magnitude", tc.pair_magnitude),
+            ("diff_rows", lambda x: tc.diff_rows(x, segs)),
+            ("absval", tc.absval),
+            ("hconcat", lambda x: tc.hconcat(other, x)),
+            ("log_shift", lambda x: tc.log_shift(tc.absval(x), 1e-4)),
+            ("softmax_rows", tc.softmax_rows),
+            ("layer_norm", lambda x: tc.layer_norm(x, gain, bias, 1e-5, segs)),
+            ("layer_norm gain", lambda x: tc.layer_norm(other, tc.mean_rows(x), bias)),
+            ("cross_entropy", lambda x: tc.cross_entropy(tc.mean_rows(x, segs), [1, 3])),
+            ("attention_pool scores", lambda x: tc.attention_pool(tc.matmul(x, a), other, segs)),
+            ("attention_pool rows", lambda x: tc.attention_pool(att, x, segs)),
+            ("topk_mix", lambda x: tc.topk_mix(
+                tc.softmax_rows(tc.matmul(tc.mean_rows(x, segs), gate, rows)), tracks, 2, True, segs)),
+        ]
+
+    def test_no_graph_and_bitwise_the_tracked_value(self):
+        x = np.random.default_rng(21).standard_normal((7, 4))
+        for name, build in self.ops():
+            free = build(tc.constant(x))
+            tracked = build(tc.leaf(x, requires_grad=True))
+            assert free.parents == () and free._push is None and not free.needs_grad, name
+            assert tracked.parents and tracked._push is not None and tracked.needs_grad, name
+            assert np.array_equal(free.value, tracked.value), name
+
+    def test_results_are_checked_only_on_a_gradient_path(self):
+        big = np.array([[1e308, 1.0]])
+        with np.errstate(over="ignore"):
+            assert np.isinf(tc.scale(tc.constant(big), 10.0).value[0, 0])  # inference
+            with pytest.raises(tc.NonFiniteError):
+                tc.scale(tc.leaf(big, requires_grad=True), 10.0)
+            with pytest.raises(tc.NonFiniteError):  # a constant is checked itself
+                tc.constant(big * 10.0)
