@@ -14,11 +14,11 @@ that runs may rewrite any file. Nothing of it is stored, so every command
 hashes every file it watches again.
 
 Independent work runs on `--jobs` forked worker processes
-(`Pipeline._map`): the attack-specific experts, the fusion heads and the
-per-condition scoring. Workers inherit what the parent loaded, buffer their
-log lines and hand them back with their results; the parent replays them,
-records stages and writes scores in submission order, so outputs and logs
-are those of `--jobs 1`.
+(`Pipeline._map`): the attacked conditions, the attack-specific experts, the
+fusion heads and the per-condition scoring. Workers inherit what the parent
+loaded, buffer their log lines and hand them back with their results; the
+parent replays them, records stages and writes scores in submission order,
+so outputs and logs are those of `--jobs 1`.
 
 `reproduce` chains synth, attacks, expert and fusion training, scoring, and
 reporting, ending with a checksum manifest over every artifact.
@@ -28,7 +28,6 @@ Exit codes: 0 success, 1 user/config error, 2 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import os
@@ -307,11 +306,18 @@ class Pipeline:
 
     def attack(self, only: str | None = None) -> None:
         base_path = self.existing_manifest("T0")
-        base = functools.cache(lambda: corpus.load_manifest(base_path))  # parsed by a stale stage
-        for condition in self.attack_conditions(only):
-            watched = [base_path, self.manifest_path(condition), self.audio_dir(condition)]
-            self.run_stage(f"attack-{condition}", watched,
-                           lambda c=condition: self._build_condition(base(), c))
+        loaded = {}
+
+        def prepare():
+            loaded["base"] = corpus.load_manifest(base_path)
+
+        stages = [
+            (f"attack-{condition}",
+             [base_path, self.manifest_path(condition), self.audio_dir(condition)],
+             lambda c=condition: self._build_condition(loaded["base"], c))
+            for condition in self.attack_conditions(only)
+        ]
+        self.run_stages(stages, prepare)
 
     def _build_condition(self, base: corpus.Manifest, condition: str) -> None:
         seed = self.cfg.attack_seed(condition)
@@ -676,9 +682,9 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(print them with validate-config)")
     parser.add_argument("--out", default=None, help="output root (overrides config and AMULET_OUT)")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the attack-specific experts, the fusion "
-                             "heads and the eval conditions, with outputs and logs identical "
-                             "to --jobs 1")
+                        help="worker processes for the attacked conditions, the "
+                             "attack-specific experts, the fusion heads and the eval "
+                             "conditions, with outputs and logs identical to --jobs 1")
     parser.add_argument("--seed-override", type=int, default=None,
                         help="replace all three stage seeds with values derived from this one")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -148,6 +149,14 @@ def resolve_config(raw: dict) -> tuple:
         for name in merged[group]:
             if name not in PRESET_NAMES:
                 errors.append(f"{group}: unknown attack preset {name!r}")
+
+    # each condition is built, trained and scored once, into paths named after it
+    named = Counter(name for name in [*roster.values(), *merged["eval_extra"], *merged["mixed"]]
+                    if isinstance(name, str))
+    for name, count in named.items():
+        if count > 1:
+            errors.append(f"condition {name!r} is named {count} times across roster, "
+                          f"eval_extra and mixed; name each condition once")
 
     lora = {**defaults["lora"], **merged["lora"]}
     if not _is_int(lora.get("rank")) or lora["rank"] < 1:

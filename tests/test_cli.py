@@ -114,6 +114,19 @@ class TestValidateConfig:
         assert cli.main(["--config", path, "validate-config"]) == 1
         assert f"config error: {message}" in capsys.readouterr().err
 
+    def test_condition_named_twice_is_config_error(self, tmp_path, capsys):
+        # two stages of one batch would write the same audio/, manifest and checkpoint
+        config = micro_config(tmp_path / "out", roster={"E1": "T1", "E2": "T1"},
+                              eval_extra=["T1", "T6"], mixed=["rawboost4", "rawboost4"])
+        path = write_config(tmp_path, config)
+        assert cli.main(["--config", path, "validate-config"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: condition 'T1' is named 3 times across roster, eval_extra and "
+            "mixed; name each condition once",
+            "config error: condition 'rawboost4' is named 2 times across roster, eval_extra "
+            "and mixed; name each condition once",
+        ]
+
     def test_config_error_survives_pickling(self):
         # worker exceptions reach the parent pickled
         copy = pickle.loads(pickle.dumps(ConfigError(["a", "b"])))
@@ -520,6 +533,70 @@ class TestRunStages:
         assert pipe.run_stages(stages, lambda: prepared.append(1)) == [False] * 5
         assert ran == [] and prepared == [1]
         assert len(created) == (0 if jobs == 1 else 1)
+
+
+class TestAttackOnWorkers:
+    def test_jobs_2_writes_what_jobs_1_writes(self, tmp_path, capsys):
+        path = write_config(tmp_path, micro_config(tmp_path / "out"))
+        trees, logs = {}, {}
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            assert cli.main(["--config", path, "--out", str(out), "--jobs", str(jobs),
+                             "attack"]) == 0
+            assert multiprocessing.active_children() == []
+            trees[jobs] = {str(p.relative_to(out)): p.read_bytes()
+                           for name in ("manifests", "audio", "state")
+                           for p in (out / name).rglob("*") if p.is_file()}
+            logs[jobs] = [line for line in capsys.readouterr().out.splitlines()
+                          if not line.startswith("[config]")]
+        assert str(Path("state", "attack-noise_first.json")) in trees[1]
+        assert trees[2] == trees[1]
+        assert "[attack-T5] running" in logs[1]
+        assert logs[2] == logs[1]
+
+    def test_one_pool_for_the_stale_conditions(self, tmp_path, monkeypatch):
+        root = tmp_path / "out"
+        config = validate_config(micro_config(root))
+        created = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda *args, **kw: InlinePool(created, *args, **kw))
+        pipe = cli.Pipeline(config, root, jobs=64, log=lambda msg: None)
+        pipe.synth()
+        pipe.attack("T3")  # one condition runs here
+        assert created == []
+        pipe.attack()
+        assert created == [(2, "fork")]  # min(jobs, stale conditions)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cached attack parsed a manifest")
+
+        monkeypatch.setattr(corpus, "load_manifest", refuse)
+        lines = []
+        cli.Pipeline(config, root, jobs=64, log=lines.append).attack()
+        assert created == [(2, "fork")]
+        assert lines == [f"[attack-{c}] skipped (outputs up to date)"
+                         for c in ("T3", "T5", "noise_first")]
+
+    def test_condition_failing_on_a_worker(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, micro_config(out))
+        assert cli.main(["--config", path, "synth"]) == 0
+        lines = (out / "manifests" / "T0.jsonl").read_text().splitlines()
+        entry = next(e for e in map(json.loads, lines) if e["split"] == "eval")
+        (out / entry["path"]).write_bytes(b"not a wav file")
+        monkeypatch.setattr(cli.Pipeline, "synth", lambda self: False)  # keep the junk
+        capsys.readouterr()
+        outcomes = []
+        for jobs in (1, 2):
+            assert cli.main(["--config", path, "--jobs", str(jobs), "attack"]) == 1
+            assert multiprocessing.active_children() == []
+            assert list((out / "state").glob("attack-*.json")) == []
+            outcomes.append(capsys.readouterr())
+        for captured in outcomes:
+            err = captured.err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ")
+            assert "malformed WAV" in err[0] and entry["path"] in err[0]
+        assert outcomes[1] == outcomes[0]
 
 
 @pytest.mark.slow
