@@ -1,34 +1,24 @@
 """Seeded post-processing attack simulation on waveforms.
 
-Every attack is a pure function of (clip, spec): the spec's 64-bit seed and
-the clip id fully determine all randomness, so outputs are bitwise
-reproducible across runs and thread counts. Leaf kinds cover convolutive
-distortion (multi-notch FIR plus tanh drive), impulsive signal-dependent
-noise, SNR-targeted stationary/colored/white additive noise, windowed-sinc
-FIR filtering, and a codec round trip (mu-law companding, quantization,
-resample). `series` and `parallel` specs compose leaves into mixed attacks.
+An attack is a function `(clip, seed) -> clip`; the seed and the clip id fully
+determine its randomness, so outputs are bitwise reproducible across runs and
+thread counts. `_leaf` draws one generator per (seed, clip id), and `_series`
+and `_parallel` seed child i with `derive_seed(seed, i, clip_id)`.
+
+`PRESETS` holds the fifteen named attacks: the RawBoost families T1-T3
+(convolutive, impulsive signal-dependent, stationary signal-independent),
+additive noise T4, a FIR filter bank T5, a codec round trip T6, the
+combinations rawboost4-8 of T1-T3, and noise_first / filter_first. T4_train
+and T5_train leave out the noise colors and the cutoff unseen in training.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
-import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .audio import AudioClip
-
-LEAF_KINDS = (
-    "convolutive",
-    "impulsive_noise",
-    "stationary_noise",
-    "gaussian_noise",
-    "color_noise",
-    "fir_filter",
-    "codec_sim",
-)
-COMPOSITE_KINDS = ("series", "parallel")
-NOISE_COLORS = ("white", "pink", "brown")
 
 
 class AttackError(ValueError):
@@ -39,73 +29,12 @@ class DegenerateSignalError(AttackError):
     """Signal violates a power precondition (e.g. silent clip)."""
 
 
-@dataclass
-class AttackSpec:
-    kind: str
-    params: dict = field(default_factory=dict)
-    children: tuple = ()
-    seed: int | None = None
-
-    def __post_init__(self):
-        self.children = tuple(self.children)
-        self.validate()
-
-    def validate(self):
-        if self.kind in COMPOSITE_KINDS:
-            if len(self.children) < 2:
-                raise AttackError(f"{self.kind} spec needs at least 2 children")
-        elif self.kind in LEAF_KINDS:
-            if self.children:
-                raise AttackError(f"leaf kind {self.kind!r} cannot have children")
-        else:
-            raise AttackError(f"unknown attack kind {self.kind!r}")
-
-    def with_seed(self, seed: int) -> "AttackSpec":
-        return AttackSpec(self.kind, dict(self.params), self.children, seed)
-
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind, "params": dict(self.params), "seed": self.seed}
-        if self.children:
-            out["children"] = [c.to_dict() for c in self.children]
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AttackSpec":
-        children = tuple(cls.from_dict(c) for c in data.get("children", []))
-        return cls(data["kind"], dict(data.get("params", {})), children, data.get("seed"))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "AttackSpec":
-        return cls.from_dict(json.loads(text))
-
-
 def derive_seed(parent_seed: int, index: int, clip_id: str) -> int:
     """Stable 64-bit child seed from (parent seed, child index, clip id)."""
     digest = hashlib.blake2b(
         f"{parent_seed}|{index}|{clip_id}".encode(), digest_size=8
     ).digest()
     return int.from_bytes(digest, "little")
-
-
-def rng_for(seed: int, clip_id: str) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(derive_seed(seed, 0, clip_id)))
-
-
-def measure_snr(signal: AudioClip, noise: np.ndarray) -> float:
-    """Signal-to-noise ratio in dB between a clip and a noise component."""
-    noise = np.asarray(noise, dtype=np.float64)
-    if noise.size != signal.samples.size:
-        raise AttackError("signal and noise must have equal length")
-    p_sig = float(np.mean(signal.samples**2))
-    p_noise = float(np.mean(noise**2))
-    if p_sig <= 0.0:
-        raise DegenerateSignalError("signal power is zero")
-    if p_noise <= 0.0:
-        raise DegenerateSignalError("noise power is zero (SNR is infinite)")
-    return 10.0 * np.log10(p_sig / p_noise)
 
 
 def add_noise_at_snr(clip: AudioClip, noise: np.ndarray, target_snr_db: float) -> AudioClip:
@@ -288,204 +217,101 @@ def codec_sim(clip: AudioClip, bits: int, resample_hz: int, mu: float = 255.0) -
     return clip.with_samples(_linear_resample(down, n))
 
 
-def compose(specs, mode: str) -> AttackSpec:
-    """Series applies children in order; parallel averages each child's output."""
-    specs = tuple(specs)
-    if mode not in COMPOSITE_KINDS:
-        raise AttackError(f"mode must be one of {COMPOSITE_KINDS}, got {mode!r}")
-    if len(specs) < 2:
-        raise AttackError(f"{mode} composition needs at least 2 children")
-    return AttackSpec(mode, {}, specs)
+def _leaf(fn):
+    """The attack `fn(clip, rng)` with one generator per (seed, clip id); an
+    output peaking above 1 is scaled to a peak of 0.999."""
+
+    def attack(clip: AudioClip, seed: int) -> AudioClip:
+        out = fn(clip, np.random.Generator(np.random.Philox(derive_seed(seed, 0, clip.clip_id))))
+        peak = float(np.max(np.abs(out.samples)))
+        return out.with_samples(out.samples * (0.999 / peak)) if peak > 1.0 else out
+    return attack
 
 
-def _pick_snr(params: dict, rng: np.random.Generator, color: str) -> float:
-    by_color = params.get("snr_db_by_color")
-    snr = by_color[color] if by_color and color in by_color else params.get("snr_db", 10.0)
-    if isinstance(snr, (list, tuple)):
-        return float(rng.uniform(float(snr[0]), float(snr[1])))
-    return float(snr)
+def _series(*children):
+    def attack(clip: AudioClip, seed: int) -> AudioClip:
+        for i, child in enumerate(children):
+            clip = child(clip, derive_seed(seed, i, clip.clip_id))
+        return clip
+    return attack
 
 
-def _apply_leaf(clip: AudioClip, spec: AttackSpec, eff_seed: int) -> AudioClip:
-    rng = rng_for(eff_seed, clip.clip_id)
-    p = spec.params
-    if spec.kind == "convolutive":
-        out = convolutive_distortion(
-            clip,
-            n_notches=int(p.get("n_notches", 4)),
-            gain_db_range=p.get("gain_db_range", (-24.0, -6.0)),
-            clip_drive=float(p.get("clip_drive", 2.5)),
-            rng=rng,
-            taps=int(p.get("taps", 101)),
-            notch_width_hz=p.get("notch_width_hz", (150.0, 600.0)),
-        )
-    elif spec.kind == "impulsive_noise":
-        out = impulsive_noise(
-            clip,
-            event_rate=float(p.get("event_rate", 12.0)),
-            amp_scale=float(p.get("amp_scale", 2.5)),
-            rng=rng,
-            window_ms=float(p.get("window_ms", 20.0)),
-        )
-    elif spec.kind in ("stationary_noise", "gaussian_noise", "color_noise"):
-        if spec.kind == "gaussian_noise":
-            colors = ("white",)
-        else:
-            colors = tuple(p.get("colors", NOISE_COLORS))
+def _parallel(*children):
+    def attack(clip: AudioClip, seed: int) -> AudioClip:
+        acc = np.zeros_like(clip.samples)
+        for i, child in enumerate(children):
+            acc = acc + child(clip, derive_seed(seed, i, clip.clip_id)).samples
+        return clip.with_samples(acc / len(children))
+    return attack
+
+
+def _noise(snr_db_by_color: dict, weights=None):
+    """Additive noise: a color among the keys (uniform, or by `weights`), then
+    the noise, then an SNR uniform over that color's (lo, hi) dB range."""
+    colors = tuple(snr_db_by_color)
+
+    def draw(clip, rng):
         if len(colors) == 1:
             color = colors[0]
+        elif weights is None:
+            color = colors[int(rng.integers(0, len(colors)))]
         else:
-            weights = p.get("color_weights")
-            if weights is not None:
-                weights = np.asarray(weights, dtype=np.float64)
-                weights = weights / weights.sum()
-                color = colors[int(rng.choice(len(colors), p=weights))]
-            else:
-                color = colors[int(rng.integers(0, len(colors)))]
+            color = colors[int(rng.choice(len(colors), p=weights))]
         noise = gen_noise(color, clip.samples.size, rng)
-        out = add_noise_at_snr(clip, noise, _pick_snr(p, rng, color))
-    elif spec.kind == "fir_filter":
-        filters = p.get("filters")
-        if filters is None:
-            filters = [(p["filter_kind"], p["cutoffs_hz"])]
-        choice = filters[int(rng.integers(0, len(filters)))] if len(filters) > 1 else filters[0]
-        kind, cutoffs = choice[0], choice[1]
-        out = fir_filter(clip, kind, cutoffs, taps=int(p.get("taps", 101)))
-    elif spec.kind == "codec_sim":
-        out = codec_sim(
-            clip,
-            bits=int(p.get("bits", 8)),
-            resample_hz=int(p.get("resample_hz", 8000)),
-        )
-    else:
-        raise AttackError(f"unknown attack kind {spec.kind!r}")
-    peak = float(np.max(np.abs(out.samples)))
-    if peak > 1.0:
-        out = out.with_samples(out.samples * (0.999 / peak), peak_normalized=True)
-    return out
+        return add_noise_at_snr(clip, noise, float(rng.uniform(*snr_db_by_color[color])))
+    return _leaf(draw)
 
 
-def _apply(clip: AudioClip, spec: AttackSpec, eff_seed: int) -> AudioClip:
-    if spec.kind == "series":
-        out = clip
-        for i, child in enumerate(spec.children):
-            child_seed = child.seed if child.seed is not None else derive_seed(eff_seed, i, clip.clip_id)
-            out = _apply(out, child, child_seed)
-        return out
-    if spec.kind == "parallel":
-        branches = []
-        flag = clip.peak_normalized
-        for i, child in enumerate(spec.children):
-            child_seed = child.seed if child.seed is not None else derive_seed(eff_seed, i, clip.clip_id)
-            branch = _apply(clip, child, child_seed)
-            flag = flag or branch.peak_normalized
-            branches.append(branch.samples)
-        acc = np.zeros_like(clip.samples)
-        for samples in branches:
-            acc = acc + samples
-        return clip.with_samples(acc / len(branches), peak_normalized=flag)
-    return _apply_leaf(clip, spec, eff_seed)
+def _filter_bank(filters):
+    """A (kind, cutoffs) FIR drawn uniformly from the bank."""
+    return _leaf(lambda clip, rng: fir_filter(clip, *filters[int(rng.integers(0, len(filters)))]))
 
 
-def apply_attack(clip: AudioClip, spec: AttackSpec) -> AudioClip:
-    """Apply a validated spec; the seed fully determines all randomness."""
-    spec.validate()
-    if spec.seed is None:
-        raise AttackError("root attack spec must carry a seed")
-    return _apply(clip, spec, spec.seed)
-
-
-# --- named presets -----------------------------------------------------------
-#
-# T1-T3 mirror the three core waveform-boosting families (convolutive,
-# impulsive signal-dependent, stationary signal-independent). T4 is additive
-# noise (training uses white only; evaluation draws white/pink/brown, the
-# colored ones being unseen). T5 draws from a filter bank (evaluation adds one
-# unseen cutoff). T6 is the codec round trip, evaluation-only. rawboost4-8
-# are the standard combinations of families 1-3; noise_first / filter_first
-# order additive noise against filtering.
-
-_TRAIN_FILTERS = [
-    ["lowpass", [2000.0]],
-    ["lowpass", [4000.0]],
-    ["highpass", [300.0]],
-    ["highpass", [1000.0]],
-    ["bandpass", [300.0, 3400.0]],
-]
-_EVAL_FILTERS = _TRAIN_FILTERS + [["lowpass", [1200.0]]]
+_TRAIN_FILTERS = (("lowpass", 2000.0), ("lowpass", 4000.0), ("highpass", 300.0),
+                  ("highpass", 1000.0), ("bandpass", (300.0, 3400.0)))
 # SSI noise range: low enough to mask the naive energy-delta cue
-_SSI_SNR_RANGE = [-8.0, 2.0]
+_SSI_SNR_RANGE = (-8.0, 2.0)
 # additive-noise expert condition: white is the seen color; the unseen pink and
 # brown colors concentrate power in the low bands, so they get milder ranges
 # of roughly equal destructive effect
-_WHITE_SNR_RANGE = [5.0, 15.0]
-_COLORED_SNR_RANGE = [8.0, 18.0]
+_WHITE_SNR_RANGE = (5.0, 15.0)
+_COLORED_SNR_RANGE = (8.0, 18.0)
 
+_T1 = _leaf(lambda clip, rng: convolutive_distortion(clip, 6, (-35.0, -10.0), 4.0, rng))
+_T2 = _leaf(lambda clip, rng: impulsive_noise(clip, 50.0, 4.5, rng))
+_T3 = _noise(dict.fromkeys(("white", "pink", "brown"), _SSI_SNR_RANGE))
+_T4_TRAIN = _noise({"white": _WHITE_SNR_RANGE})
+_T5_TRAIN = _filter_bank(_TRAIN_FILTERS)
 
-def _leaf(kind, **params) -> AttackSpec:
-    return AttackSpec(kind, params)
-
-
-def _t1() -> AttackSpec:
-    return _leaf("convolutive", n_notches=6, gain_db_range=[-35.0, -10.0], clip_drive=4.0)
-
-
-def _t2() -> AttackSpec:
-    return _leaf("impulsive_noise", event_rate=50.0, amp_scale=4.5)
-
-
-def _t3() -> AttackSpec:
-    return _leaf("stationary_noise", colors=list(NOISE_COLORS), snr_db=list(_SSI_SNR_RANGE))
-
-
-def _t4_train() -> AttackSpec:
-    return _leaf("gaussian_noise", snr_db=list(_WHITE_SNR_RANGE))
-
-
-def _t4_eval() -> AttackSpec:
-    return _leaf(
-        "color_noise",
-        colors=list(NOISE_COLORS),
-        color_weights=[0.6, 0.2, 0.2],
-        snr_db_by_color={
-            "white": list(_WHITE_SNR_RANGE),
-            "pink": list(_COLORED_SNR_RANGE),
-            "brown": list(_COLORED_SNR_RANGE),
-        },
-    )
-
-
-def _t5(filters) -> AttackSpec:
-    return _leaf("fir_filter", filters=[list(f) for f in filters], taps=101)
-
-
-_PRESET_BUILDERS = {
-    "T1": _t1,
-    "T2": _t2,
-    "T3": _t3,
-    "T4": _t4_eval,
-    "T4_train": _t4_train,
-    "T5": lambda: _t5(_EVAL_FILTERS),
-    "T5_train": lambda: _t5(_TRAIN_FILTERS),
-    "T6": lambda: _leaf("codec_sim", bits=8, resample_hz=8000),
-    "rawboost4": lambda: compose([_t1(), _t2(), _t3()], "series"),
-    "rawboost5": lambda: compose([_t1(), _t2()], "series"),
-    "rawboost6": lambda: compose([_t1(), _t3()], "series"),
-    "rawboost7": lambda: compose([_t2(), _t3()], "series"),
-    "rawboost8": lambda: compose([_t1(), _t2()], "parallel"),
-    "noise_first": lambda: compose([_t4_train(), _t5(_TRAIN_FILTERS)], "series"),
-    "filter_first": lambda: compose([_t5(_TRAIN_FILTERS), _t4_train()], "series"),
+PRESETS = {
+    "T1": _T1,
+    "T2": _T2,
+    "T3": _T3,
+    "T4": _noise({"white": _WHITE_SNR_RANGE, "pink": _COLORED_SNR_RANGE,
+                  "brown": _COLORED_SNR_RANGE}, weights=(0.6, 0.2, 0.2)),
+    "T4_train": _T4_TRAIN,
+    "T5": _filter_bank(_TRAIN_FILTERS + (("lowpass", 1200.0),)),
+    "T5_train": _T5_TRAIN,
+    "T6": _leaf(lambda clip, rng: codec_sim(clip, bits=8, resample_hz=8000)),
+    "rawboost4": _series(_T1, _T2, _T3),
+    "rawboost5": _series(_T1, _T2),
+    "rawboost6": _series(_T1, _T3),
+    "rawboost7": _series(_T2, _T3),
+    "rawboost8": _parallel(_T1, _T2),
+    "noise_first": _series(_T4_TRAIN, _T5_TRAIN),
+    "filter_first": _series(_T5_TRAIN, _T4_TRAIN),
 }
+PRESET_NAMES = tuple(sorted(PRESETS))
 
-PRESET_NAMES = tuple(sorted(_PRESET_BUILDERS))
+
+def preset(name: str, seed: int):
+    """The named attack with its seed bound: a function of the clip alone."""
+    if name not in PRESETS:
+        raise AttackError(f"unknown attack preset {name!r}; "
+                          f"valid presets: {', '.join(PRESET_NAMES)}")
+    return functools.partial(PRESETS[name], seed=seed)
 
 
-def preset(name: str, seed: int) -> AttackSpec:
-    """A named attack spec with its root seed filled in."""
-    try:
-        builder = _PRESET_BUILDERS[name]
-    except KeyError:
-        raise AttackError(
-            f"unknown attack preset {name!r}; valid presets: {', '.join(PRESET_NAMES)}"
-        ) from None
-    return builder().with_seed(seed)
+def apply_attack(clip: AudioClip, attack) -> AudioClip:
+    """Apply a seeded attack from `preset` to one clip."""
+    return attack(clip)

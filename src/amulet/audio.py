@@ -7,7 +7,7 @@ corpora are byte-identical.
 from __future__ import annotations
 
 import wave
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class AudioClip:
     sample_rate: int = 16000
     clip_id: str = ""
     label: str = "unlabeled"
-    peak_normalized: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -48,9 +47,8 @@ class AudioClip:
     def duration(self) -> float:
         return self.samples.size / self.sample_rate
 
-    def with_samples(self, samples, peak_normalized=None) -> "AudioClip":
-        flag = self.peak_normalized if peak_normalized is None else peak_normalized
-        return replace(self, samples=np.asarray(samples, dtype=np.float64), peak_normalized=flag)
+    def with_samples(self, samples) -> "AudioClip":
+        return replace(self, samples=np.asarray(samples, dtype=np.float64))
 
 
 def float_to_pcm16(samples: np.ndarray) -> np.ndarray:

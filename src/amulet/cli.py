@@ -320,25 +320,17 @@ class Pipeline:
         self.run_stages(stages, prepare)
 
     def _build_condition(self, base: corpus.Manifest, condition: str) -> None:
+        """Train/dev clips (training conditions only) under the train preset,
+        then eval clips under the eval preset, into one manifest."""
         seed = self.cfg.attack_seed(condition)
-        eval_spec = attacks.preset(condition, seed)
+        entries = []
         if condition in self.cfg.train_conditions:
-            train_spec = attacks.preset(self.cfg.train_preset_name(condition), seed)
-            train_part = corpus.build_variant(
-                corpus.filter_splits(base, ("train", "dev")), train_spec, condition,
-                self.root, save=False,
-            )
-            eval_part = corpus.build_variant(
-                corpus.filter_splits(base, ("eval",)), eval_spec, condition,
-                self.root, save=False,
-            )
-            merged = corpus.Manifest(train_part.entries + eval_part.entries)
-            corpus.save_manifest(merged, self.manifest_path(condition))
-        else:
-            corpus.build_variant(
-                corpus.filter_splits(base, ("eval",)), eval_spec, condition,
-                self.root, save=True,
-            )
+            entries = corpus.build_variant(
+                [e for e in base.entries if e.split != "eval"],
+                attacks.preset(self.cfg.train_preset_name(condition), seed), condition, self.root)
+        entries += corpus.build_variant(base.split("eval"), attacks.preset(condition, seed),
+                                        condition, self.root)
+        corpus.save_manifest(corpus.Manifest(entries), self.manifest_path(condition))
 
     def train_shared(self) -> None:
         manifest_path = self.existing_manifest("T0")
@@ -753,7 +745,7 @@ def main(argv=None) -> int:
             print(f"config error: {error}", file=sys.stderr)
         return 1
     except (MissingArtifactError, corpus.ManifestError, attacks.AttackError,
-            metrics.ScoreSetError, AudioError, FileNotFoundError) as exc:
+            metrics.ScoreSetError, metrics.ReportError, AudioError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (FrozenContractError, NonFiniteError, GraphError, CheckpointError) as exc:

@@ -190,6 +190,15 @@ def resolve_config(raw: dict) -> tuple:
             errors.append(f"k_values: {k!r} is not a positive integer")
         elif k > n_experts:
             errors.append(f"k={k} exceeds expert count ({n_experts})")
+    # every system writes its scores, report rows and checkpoint under its own name
+    for k, count in Counter(k for k in k_values if _is_int(k)).items():
+        if count > 1:
+            errors.append(f"k_values: k={k} is named {count} times; name each k once")
+    reserved = {"E0", "ensemble", *(f"fused_top{k}" for k in k_values)}
+    for expert in roster:
+        if expert in reserved:
+            errors.append(f"roster: expert id {expert!r} is the name of another system; "
+                          f"E0, ensemble and fused_top<k> are reserved")
 
     fraction = merged["subset_fraction"]
     if not _is_number(fraction) or not 0.0 < float(fraction) <= 1.0:

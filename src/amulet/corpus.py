@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import AudioClip, read_wav, write_wav
-from .attacks import AttackSpec, apply_attack
+from .attacks import apply_attack
 
 SPLITS = ("train", "dev", "eval")
 CLASS_LABELS = ("bonafide", "spoof")
@@ -264,32 +264,18 @@ def build_corpus(cfg: SynthConfig, out_dir, seed: int, condition: str = "T0") ->
     return manifest
 
 
-def filter_splits(manifest: Manifest, splits) -> Manifest:
-    keep = set(splits)
-    return Manifest([e for e in manifest.entries if e.split in keep])
-
-
-def build_variant(manifest: Manifest, spec: AttackSpec, tag: str, out_dir, root=None,
-                  save: bool = True) -> Manifest:
-    """Apply one attack spec to every clip of a manifest, preserving structure."""
-    out_root = Path(out_dir)
-    root = Path(root) if root is not None else out_root
-    audio_dir = out_root / "audio" / tag
-    audio_dir.mkdir(parents=True, exist_ok=True)
-
-    entries = []
-    for entry in manifest.entries:
-        attacked = apply_attack(resolve_clip(entry, root), spec)
+def build_variant(entries, attack, tag: str, root) -> list:
+    """Write `attack` (from `attacks.preset`) of every entry's clip under
+    `root`/audio/`tag`; returns the new entries, tagged `tag`, in order."""
+    root = Path(root)
+    (root / "audio" / tag).mkdir(parents=True, exist_ok=True)
+    out = []
+    for entry in entries:
         rel = _audio_rel_path(tag, entry.clip_id)
-        write_wav(out_root / rel, attacked)
-        entries.append(ManifestEntry(entry.clip_id, entry.label, entry.split, tag, entry.seed,
-                                     path=rel))
-    variant = Manifest(entries)
-    if save:
-        manifest_dir = out_root / "manifests"
-        manifest_dir.mkdir(parents=True, exist_ok=True)
-        save_manifest(variant, manifest_dir / f"{tag}.jsonl")
-    return variant
+        write_wav(root / rel, apply_attack(resolve_clip(entry, root), attack))
+        out.append(ManifestEntry(entry.clip_id, entry.label, entry.split, tag, entry.seed,
+                                 path=rel))
+    return out
 
 
 def sample_fusion_subset(manifests, fraction: float, seed: int) -> Manifest:

@@ -13,6 +13,7 @@ import numpy as np
 
 from amulet import experts as ex
 from amulet import tensor as tc
+from amulet.attacks import AttackError, DegenerateSignalError
 from amulet.corpus import stable_seed
 
 
@@ -46,6 +47,20 @@ def expand_watched(root, paths) -> dict:
         elif path.exists():
             files[str(rel)] = str(path)
     return files
+
+
+def measure_snr(signal, noise) -> float:
+    """Signal-to-noise ratio in dB between a clip and a noise component."""
+    noise = np.asarray(noise, dtype=np.float64)
+    if noise.size != signal.samples.size:
+        raise AttackError("signal and noise must have equal length")
+    p_sig = float(np.mean(signal.samples**2))
+    p_noise = float(np.mean(noise**2))
+    if p_sig <= 0.0:
+        raise DegenerateSignalError("signal power is zero")
+    if p_noise <= 0.0:
+        raise DegenerateSignalError("noise power is zero (SNR is infinite)")
+    return 10.0 * np.log10(p_sig / p_noise)
 
 
 def relative_error(a, b, floor: float = 1.0) -> float:

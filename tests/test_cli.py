@@ -127,6 +127,31 @@ class TestValidateConfig:
             "and mixed; name each condition once",
         ]
 
+    @pytest.mark.parametrize("expert", ["E0", "ensemble", "fused_top2"])
+    def test_expert_named_as_another_system(self, tmp_path, capsys, expert):
+        # its scores would land in that system's files and cells
+        config = micro_config(tmp_path / "out", roster={expert: "T3", "E2": "T5"})
+        path = write_config(tmp_path, config)
+        assert cli.main(["--config", path, "validate-config"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: roster: expert id {expert!r} is the name of another system; "
+            "E0, ensemble and fused_top<k> are reserved",
+        ]
+
+    def test_fused_name_of_an_unconfigured_k_is_an_expert_id(self):
+        config, errors = resolve_config({"roster": {"fused_top2": "T3", "E2": "T5"},
+                                         "k_values": [1]})
+        assert errors == []
+        assert config.expert_ids == ["E2", "fused_top2"]
+
+    def test_k_named_twice_is_config_error(self, tmp_path, capsys):
+        # two fusion stages would write one checkpoint
+        path = write_config(tmp_path, micro_config(tmp_path / "out", k_values=[2, 1, 2]))
+        assert cli.main(["--config", path, "validate-config"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: k_values: k=2 is named 2 times; name each k once",
+        ]
+
     def test_config_error_survives_pickling(self):
         # worker exceptions reach the parent pickled
         copy = pickle.loads(pickle.dumps(ConfigError(["a", "b"])))
@@ -262,6 +287,18 @@ class TestBankLoading:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "malformed WAV" in err and entry["path"] in err
         assert multiprocessing.active_children() == []
+
+    def test_report_error_is_user_error(self, trained_bank, tmp_path, capsys):
+        out = copy_root(trained_bank, tmp_path)
+        args = ["--config", trained_bank[0], "--out", str(out)]
+        assert cli.main(args + ["evaluate"]) == 0
+        score = out / "scores" / "E1__T0.json"
+        score.write_text(score.read_text().replace('"E1"', '"E0"'))
+        capsys.readouterr()
+        assert cli.main(args + ["report"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: duplicate cell for ('E0', 'T0')",
+        ]
 
     def test_rewritten_adapter_breaks_fusion_binding(self, trained_bank, tmp_path, capsys):
         ckpts = copy_root(trained_bank, tmp_path) / "checkpoints"

@@ -125,12 +125,12 @@ class TestBuildCorpus:
 class TestBuildVariant:
     def test_identity_spec_is_near_exact(self, tmp_path):
         manifest = cp.build_corpus(TINY, tmp_path, seed=17)
-        identity = atk.AttackSpec(
-            "convolutive", {"n_notches": 1, "gain_db_range": [0.0, 0.0], "clip_drive": 0.0},
-            seed=1,
+        identity = atk._leaf(
+            lambda clip, rng: atk.convolutive_distortion(clip, 1, (0.0, 0.0), 0.0, rng)
         )
-        variant = cp.build_variant(manifest, identity, "ID", tmp_path)
-        for src, dst in zip(manifest.entries, variant.entries):
+        variant = cp.build_variant(manifest.entries, lambda clip: identity(clip, 1), "ID",
+                                   tmp_path)
+        for src, dst in zip(manifest.entries, variant):
             a = cp.resolve_clip(src, tmp_path)
             b = cp.resolve_clip(dst, tmp_path)
             # one extra PCM16 quantization on top of the 1e-9 filter error
@@ -138,35 +138,37 @@ class TestBuildVariant:
 
     def test_structure_preserved(self, tmp_path):
         manifest = cp.build_corpus(TINY, tmp_path, seed=19)
-        spec = atk.preset("T4", seed=5)
-        variant = cp.build_variant(cp.filter_splits(manifest, ("eval",)), spec, "T4", tmp_path)
         evals = manifest.split("eval")
+        variant = cp.build_variant(evals, atk.preset("T4", seed=5), "T4", tmp_path)
         assert len(variant) == len(evals)
-        for src, dst in zip(evals, variant.entries):
+        for src, dst in zip(evals, variant):
             assert dst.clip_id == src.clip_id
             assert dst.label == src.label
             assert dst.split == src.split
             assert dst.condition == "T4"
+            assert dst.path == f"audio/T4/{src.clip_id}.wav"
+            assert (tmp_path / dst.path).is_file()
 
     def test_variant_of_variant_matches_composed_spec(self, tmp_path):
         manifest = cp.build_corpus(TINY, tmp_path, seed=23)
-        spec_a = atk.AttackSpec("gaussian_noise", {"snr_db": [8.0, 8.0]}, seed=31)
-        spec_b = atk.AttackSpec(
-            "fir_filter", {"filters": [["lowpass", [3000.0]]], "taps": 101}, seed=37
-        )
-        composed = atk.compose([spec_a, spec_b], "series").with_seed(41)
+        # noise_first is T4_train then T5_train, child i seeded derive_seed(41, i, clip_id)
+        def child(name, i):
+            return lambda clip: atk.PRESETS[name](clip, atk.derive_seed(41, i, clip.clip_id))
 
-        # semantic (in-memory) equality is exact: explicit child seeds are honored
+        noise, bank = child("T4_train", 0), child("T5_train", 1)
+        composed = atk.preset("noise_first", seed=41)
+
+        # in memory the chain is exact
         clip = cp.resolve_clip(manifest.entries[0], tmp_path)
-        chained = atk.apply_attack(atk.apply_attack(clip, spec_a), spec_b)
+        chained = atk.apply_attack(atk.apply_attack(clip, noise), bank)
         direct = atk.apply_attack(clip, composed)
         assert np.array_equal(chained.samples, direct.samples)
 
         # on disk the intermediate PCM16 write adds one quantization step
-        va = cp.build_variant(manifest, spec_a, "A", tmp_path)
-        vab = cp.build_variant(va, spec_b, "AB", tmp_path)
-        vz = cp.build_variant(manifest, composed, "Z", tmp_path)
-        for left, right in zip(vab.entries, vz.entries):
+        va = cp.build_variant(manifest.entries, noise, "A", tmp_path)
+        vab = cp.build_variant(va, bank, "AB", tmp_path)
+        vz = cp.build_variant(manifest.entries, composed, "Z", tmp_path)
+        for left, right in zip(vab, vz):
             a = cp.resolve_clip(left, tmp_path)
             b = cp.resolve_clip(right, tmp_path)
             assert np.max(np.abs(a.samples - b.samples)) < 4.0 / 32767.0
