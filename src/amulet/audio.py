@@ -69,18 +69,31 @@ def write_wav(path, clip: AudioClip) -> None:
         wav.writeframes(pcm.tobytes())
 
 
-def read_wav(path, clip_id: str = "", label: str = "unlabeled") -> AudioClip:
+def _open_wav(path, read_samples: bool) -> tuple:
+    """(sample rate, sample count its header declares, sample bytes) of a
+    mono 16-bit WAV; the bytes are empty unless `read_samples`."""
     try:
         with wave.open(str(path), "rb") as wav:
             channels = wav.getnchannels()
             width = wav.getsampwidth()
             rate = wav.getframerate()
-            frames = wav.readframes(wav.getnframes())
+            n = wav.getnframes()
+            frames = wav.readframes(n) if read_samples else b""
     except wave.Error as exc:
         raise AudioError(f"{path}: malformed WAV ({exc})") from exc
     if width != 2:
         raise UnsupportedEncodingError(f"{path}: only PCM 16-bit supported, got {8 * width}-bit")
     if channels != 1:
         raise UnsupportedEncodingError(f"{path}: only mono supported, got {channels} channels")
+    return rate, n, frames
+
+
+def wav_length(path) -> int:
+    """The sample count a WAV file's header declares, read without its samples."""
+    return _open_wav(path, False)[1]
+
+
+def read_wav(path, clip_id: str = "", label: str = "unlabeled") -> AudioClip:
+    rate, _, frames = _open_wav(path, True)
     pcm = np.frombuffer(frames, dtype="<i2")
     return AudioClip(pcm16_to_float(pcm), sample_rate=rate, clip_id=clip_id, label=label)

@@ -15,10 +15,13 @@ hashes every file it watches again.
 
 Independent work runs on `--jobs` forked worker processes
 (`Pipeline._map`): the attacked conditions, the attack-specific experts, the
-fusion heads and the per-condition scoring. Workers inherit what the parent
-loaded, buffer their log lines and hand them back with their results; the
-parent replays them, records stages and writes scores in submission order,
-so outputs and logs are those of `--jobs 1`.
+fusion features, the fusion heads and the per-condition scoring. Workers
+inherit what the parent loaded, buffer their log lines and hand them back
+with their results; the parent replays them, records stages and writes
+scores in submission order, so outputs and logs are those of `--jobs 1`.
+The fusion features are the exception to handing results back: workers
+write them into one shared memory mapping made before they fork, which the
+fusion-head workers then inherit.
 
 `reproduce` chains synth, attacks, expert and fusion training, scoring, and
 reporting, ending with a checksum manifest over every artifact.
@@ -29,7 +32,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
+import mmap
 import os
 import stat
 import sys
@@ -37,6 +42,8 @@ import traceback
 from contextlib import closing
 from dataclasses import asdict
 from pathlib import Path
+
+import numpy as np
 
 from . import attacks, corpus, fusion, metrics
 from . import experts as ex
@@ -425,26 +432,51 @@ class Pipeline:
 
     def _fusion_data(self, bank) -> tuple:
         """(features, labels) of the fusion subset and of every dev split,
-        with one list of the clip's rows of `fusion.expert_features` per clip."""
+        with one list of the clip's rows of `fusion.expert_features` per clip.
+
+        The rows are computed on up to `jobs` workers, each taking a
+        contiguous run of chunks, straight into one anonymous shared mapping
+        of shape (experts, rows, dim) made before they fork; every clip's
+        rows are views into it. Clip offsets come from the WAV headers, so
+        no clip's samples stay here, and no array crosses a pipe."""
         manifests = [self.load_manifest("T0")]
         for condition in self.cfg.train_conditions:
             manifests.append(self.load_manifest(condition))
         subset = corpus.sample_fusion_subset(
             manifests, self.cfg.subset_fraction, self.cfg.seeds["fusion"]
-        )
-        dev_entries = [e for manifest in manifests for e in manifest.split("dev")]
-
+        ).entries
+        dev = [e for manifest in manifests for e in manifest.split("dev")]
+        entries = subset + dev
+        cfg = bank[0].cfg
+        counts = [ex.frame_count(corpus.clip_length(e, self.root), cfg, e.clip_id)
+                  for e in entries]
+        starts = [0, *itertools.accumulate(counts)]
+        shape = (len(bank), starts[-1], cfg.output_dim)
+        size = shape[0] * shape[1] * shape[2]
+        buffer = np.frombuffer(mmap.mmap(-1, max(8 * size, 1)), np.float64, size).reshape(shape)
         leaves = [ex.constant_leaves(model) for model in bank]
+        # subset and dev clips are chunked apart, as when each was stacked alone
+        spans = ex.chunks(range(len(subset))) + ex.chunks(range(len(subset), len(entries)))
 
-        def features(entries):
-            z_alls = []
-            for chunk in ex.chunks(entries):
+        def fill(group):
+            for span in group:
                 zs, frames = fusion.expert_features(
-                    bank, leaves, [corpus.resolve_clip(e, self.root) for e in chunk])
-                z_alls += [[z.value[seg] for z in zs] for seg in frames]
-            return z_alls, [e.label for e in entries]
+                    bank, leaves, [corpus.resolve_clip(entries[i], self.root) for i in span])
+                for i, rows in zip(span, frames):
+                    if rows.stop - rows.start != counts[i]:
+                        raise AudioError(
+                            f"{self.root / entries[i].path}: {rows.stop - rows.start} frames, "
+                            f"but its WAV header gives {counts[i]}")
+                for z, out in zip(zs, buffer):
+                    out[starts[span[0]]:starts[span[-1] + 1]] = z.value
 
-        return features(subset.entries), features(dev_entries)
+        n = min(self.jobs, len(spans))
+        groups = [spans[len(spans) * g // n:len(spans) * (g + 1) // n] for g in range(n)]
+        list(self._map([lambda group=group: fill(group) for group in groups]))
+        z_alls = [[z[lo:hi] for z in buffer] for lo, hi in zip(starts, starts[1:])]
+        labels = [e.label for e in entries]
+        return ((z_alls[:len(subset)], labels[:len(subset)]),
+                (z_alls[len(subset):], labels[len(subset):]))
 
     def train_fusion(self, only_k: int | None = None) -> None:
         k_values = self.cfg.k_values if only_k is None else [only_k]
@@ -675,8 +707,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="output root (overrides config and AMULET_OUT)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for the attacked conditions, the "
-                             "attack-specific experts, the fusion heads and the eval "
-                             "conditions, with outputs and logs identical to --jobs 1")
+                             "attack-specific experts, the fusion features (computed into "
+                             "one shared buffer) and heads, and the eval conditions, with "
+                             "outputs and logs identical to --jobs 1")
     parser.add_argument("--seed-override", type=int, default=None,
                         help="replace all three stage seeds with values derived from this one")
     sub = parser.add_subparsers(dest="command", required=True)

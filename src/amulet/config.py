@@ -32,6 +32,11 @@ JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "true or
 # (evaluation adds unseen noise colors / an unseen cutoff).
 TRAIN_PRESET_OVERRIDES = {"T4": "T4_train", "T5": "T5_train"}
 
+# The presets a config may name as a condition: every one but the train-only
+# overrides, which are reached through the condition they override.
+CONDITIONS = tuple(name for name in PRESET_NAMES
+                   if name not in TRAIN_PRESET_OVERRIDES.values())
+
 
 class ConfigError(ValueError):
     def __init__(self, errors):
@@ -137,18 +142,14 @@ def resolve_config(raw: dict) -> tuple:
     roster = dict(merged["roster"])
     if not roster:
         errors.append("roster must name at least one expert")
+    valid = f"valid conditions: {', '.join(CONDITIONS)}"
     for expert, condition in roster.items():
-        train_name = TRAIN_PRESET_OVERRIDES.get(condition, condition)
-        if train_name not in PRESET_NAMES:
-            errors.append(
-                f"roster.{expert}: condition {condition!r} has no attack preset; "
-                f"valid conditions: {', '.join(sorted(set(PRESET_NAMES) - set(TRAIN_PRESET_OVERRIDES.values())))}"
-            )
-
+        if condition not in CONDITIONS:
+            errors.append(f"roster.{expert}: unknown condition {condition!r}; {valid}")
     for group in ("eval_extra", "mixed"):
         for name in merged[group]:
-            if name not in PRESET_NAMES:
-                errors.append(f"{group}: unknown attack preset {name!r}")
+            if name not in CONDITIONS:
+                errors.append(f"{group}: unknown condition {name!r}; {valid}")
 
     # each condition is built, trained and scored once, into paths named after it
     named = Counter(name for name in [*roster.values(), *merged["eval_extra"], *merged["mixed"]]

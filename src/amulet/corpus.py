@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioClip, read_wav, write_wav
+from .audio import AudioClip, read_wav, wav_length, write_wav
 from .attacks import apply_attack
 
 SPLITS = ("train", "dev", "eval")
@@ -236,6 +236,14 @@ def resolve_clip(entry: ManifestEntry, root) -> AudioClip:
         clip = synth_clip(entry.label, entry.seed, cfg)
         return AudioClip(clip.samples, clip.sample_rate, entry.clip_id, entry.label)
     raise ManifestError(f"{entry.clip_id}: entry has neither a path nor a synth recipe")
+
+
+def clip_length(entry: ManifestEntry, root) -> int:
+    """The sample count of an entry's audio: from the WAV header alone when
+    it is on disk, otherwise from the synthesized clip."""
+    if entry.path is not None:
+        return wav_length(Path(root) / entry.path)
+    return len(resolve_clip(entry, root))
 
 
 def build_corpus(cfg: SynthConfig, out_dir, seed: int, condition: str = "T0") -> Manifest:

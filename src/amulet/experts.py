@@ -244,12 +244,17 @@ def full_checksum(model: ExpertModel) -> str:
     return checksum_tensors(model.tensors)
 
 
+def frame_count(n_samples: int, cfg: EncoderConfig, clip_id: str = "") -> int:
+    """T, the frames (and encoder output rows) of a clip of `n_samples`."""
+    if n_samples < cfg.frame_len:
+        raise ExpertError(
+            f"clip {clip_id!r} shorter than one frame ({n_samples} < {cfg.frame_len})")
+    return (n_samples - cfg.frame_len) // cfg.hop + 1
+
+
 def frame_features(clip: AudioClip, cfg: EncoderConfig) -> np.ndarray:
     """(T x frame_len) raw-sample frames, each with its mean removed."""
-    n = clip.samples.size
-    if n < cfg.frame_len:
-        raise ExpertError(f"clip {clip.clip_id!r} shorter than one frame ({n} < {cfg.frame_len})")
-    t_count = (n - cfg.frame_len) // cfg.hop + 1
+    t_count = frame_count(clip.samples.size, cfg, clip.clip_id)
     idx = np.arange(t_count)[:, None] * cfg.hop + np.arange(cfg.frame_len)[None, :]
     frames = clip.samples[idx]
     return frames - frames.mean(axis=1, keepdims=True)

@@ -2,6 +2,7 @@ import concurrent.futures
 import hashlib
 import importlib.util
 import json
+import mmap
 import multiprocessing
 import pickle
 import shutil
@@ -88,6 +89,23 @@ class TestValidateConfig:
         assert cli.main(["--config", path, "validate-config"]) == 1
         err = capsys.readouterr().err
         assert "T9" in err and "valid conditions" in err
+
+    def test_train_only_preset_is_not_a_condition(self, tmp_path, capsys):
+        # T4_train would train a second white-noise expert; T5_train would be scored
+        config = micro_config(tmp_path / "out", roster={"E1": "T4_train", "E2": "T4"},
+                              eval_extra=["T5_train"], mixed=["T9"])
+        path = write_config(tmp_path, config)
+        assert cli.main(["--config", path, "validate-config"]) == 1
+        valid = ("valid conditions: T1, T2, T3, T4, T5, T6, filter_first, noise_first, "
+                 "rawboost4, rawboost5, rawboost6, rawboost7, rawboost8")
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: roster.E1: unknown condition 'T4_train'; {valid}",
+            f"config error: eval_extra: unknown condition 'T5_train'; {valid}",
+            f"config error: mixed: unknown condition 'T9'; {valid}",
+        ]
+        _, errors = resolve_config({"roster": {"E1": "T4", "E2": "T5"}, "mixed": ["T5_train"],
+                                    "k_values": [1, 2]})
+        assert errors == [f"mixed: unknown condition 'T5_train'; {valid}"]
 
     def test_all_violations_reported(self, tmp_path, capsys):
         config = micro_config(tmp_path / "out", k_values=[9], subset_fraction=2.0)
@@ -633,6 +651,109 @@ class TestAttackOnWorkers:
             err = captured.err.splitlines()
             assert len(err) == 1 and err[0].startswith("error: ")
             assert "malformed WAV" in err[0] and entry["path"] in err[0]
+        assert outcomes[1] == outcomes[0]
+
+
+def fusion_subset(config, root) -> list:
+    """The fusion-subset entries `Pipeline._fusion_data` samples."""
+    manifests = [corpus.load_manifest(root / "manifests" / f"{c}.jsonl")
+                 for c in ["T0", *config.train_conditions]]
+    return corpus.sample_fusion_subset(manifests, config.subset_fraction,
+                                       config.seeds["fusion"]).entries
+
+
+def buffer_of(array):
+    """The object whose memory an array views, at the end of its bases."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return array.obj if isinstance(array, memoryview) else array
+
+
+class TestFusionFeaturesOnWorkers:
+    def test_jobs_2_features_equal_jobs_1(self, trained_bank):
+        config = validate_config(trained_bank[0])
+        data = {}
+        for jobs in (1, 2):
+            pipe = cli.Pipeline(config, trained_bank[1], jobs=jobs, log=lambda msg: None)
+            bank, _ = pipe._load_bank()
+            data[jobs] = pipe._fusion_data(bank)
+            assert multiprocessing.active_children() == []
+            arrays = [z for z_alls, _ in data[jobs] for z_all in z_alls for z in z_all]
+            assert len({id(buffer_of(z)) for z in arrays}) == 1
+            assert isinstance(buffer_of(arrays[0]), mmap.mmap)
+        (subset, subset_labels), (dev, dev_labels) = data[2]
+        assert len(subset) == 12 and len(dev) == 12  # 2 + 2 clips of each of 6 manifests
+        assert subset_labels == data[1][0][1] and dev_labels == data[1][1][1]
+        for (z_alls, _), (ref_alls, _) in zip(data[2], data[1]):
+            for z_all, ref_all in zip(z_alls, ref_alls):
+                assert len(z_all) == len(bank)
+                for z, ref in zip(z_all, ref_all):
+                    assert z.dtype == ref.dtype and z.shape == ref.shape
+                    assert z.tobytes() == ref.tobytes()
+        # each clip's rows are the rows it gets when stacked alone
+        leaves = [ex.constant_leaves(model) for model in bank]
+        for entry, z_all in zip(fusion_subset(config, trained_bank[1]), subset):
+            zs, _ = fu.expert_features(bank, leaves, [corpus.resolve_clip(entry, trained_bank[1])])
+            assert [z.value.tobytes() for z in zs] == [z.tobytes() for z in z_all]
+
+    def test_stale_heads_at_jobs_2_write_what_jobs_1_writes(self, trained_bank, tmp_path):
+        heads = {}
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            shutil.copytree(trained_bank[1], out)
+            for state in (out / "state").glob("train-fusion-*.json"):
+                state.unlink()
+            for ckpt in (out / "checkpoints").glob("fusion_top*.json"):
+                ckpt.unlink()
+            args = ["--config", trained_bank[0], "--out", str(out), "--jobs", str(jobs)]
+            assert cli.main(args + ["train-fusion"]) == 0
+            assert multiprocessing.active_children() == []
+            heads[jobs] = {p.name: p.read_bytes()
+                           for p in (out / "checkpoints").glob("fusion_top*.json")}
+        assert sorted(heads[1]) == [f"fusion_top{k}.json" for k in (3, 4, 5)]
+        assert heads[2] == heads[1]
+
+    def test_one_pool_for_the_features_and_one_for_the_heads(self, trained_bank, tmp_path,
+                                                              monkeypatch):
+        out = copy_root(trained_bank, tmp_path)
+        for state in (out / "state").glob("train-fusion-top[34].json"):
+            state.unlink()
+        config = validate_config(trained_bank[0])
+        created = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda *args, **kw: InlinePool(created, *args, **kw))
+        cli.Pipeline(config, out, jobs=64, log=lambda msg: None).train_fusion()
+        # 12 subset clips and 12 dev clips, chunked apart: 3 + 3 chunks
+        assert created == [(6, "fork"), (2, "fork")]  # min(jobs, chunks), min(jobs, stale heads)
+        lines = []
+        cli.Pipeline(config, out, jobs=64, log=lines.append).train_fusion()
+        assert len(created) == 2
+        assert lines == [f"[train-fusion-top{k}] skipped (outputs up to date)" for k in (3, 4, 5)]
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda data: b"not a wav file", "malformed WAV"),
+        # the header still declares every sample, so only the reader sees the loss
+        (lambda data: data[:-1000], "96 frames, but its WAV header gives 100"),
+    ])
+    def test_damaged_subset_clip_is_user_error(self, trained_bank, tmp_path, capsys, damage,
+                                               message):
+        out = copy_root(trained_bank, tmp_path)
+        for state in (out / "state").glob("train-fusion-*.json"):
+            state.unlink()
+        entry = fusion_subset(validate_config(trained_bank[0]), out)[5]
+        wav = out / entry.path
+        wav.write_bytes(damage(wav.read_bytes()))
+        capsys.readouterr()
+        outcomes = []
+        for jobs in (1, 2):
+            args = ["--config", trained_bank[0], "--out", str(out), "--jobs", str(jobs)]
+            assert cli.main(args + ["train-fusion"]) == 1
+            assert multiprocessing.active_children() == []
+            assert list((out / "state").glob("train-fusion-*.json")) == []
+            outcomes.append(capsys.readouterr())
+        err = outcomes[0].err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert message in err[0] and entry.path in err[0]
         assert outcomes[1] == outcomes[0]
 
 
