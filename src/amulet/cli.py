@@ -453,7 +453,7 @@ class Pipeline:
         starts = [0, *itertools.accumulate(counts)]
         shape = (len(bank), starts[-1], cfg.output_dim)
         size = shape[0] * shape[1] * shape[2]
-        buffer = np.frombuffer(mmap.mmap(-1, max(8 * size, 1)), np.float64, size).reshape(shape)
+        buffer = np.frombuffer(mmap.mmap(-1, 8 * size), np.float64).reshape(shape)
         leaves = [ex.constant_leaves(model) for model in bank]
         # subset and dev clips are chunked apart, as when each was stacked alone
         spans = ex.chunks(range(len(subset))) + ex.chunks(range(len(subset), len(entries)))

@@ -734,7 +734,7 @@ class TestFusionFeaturesOnWorkers:
         (lambda data: b"not a wav file", "malformed WAV"),
         # the header still declares every sample, so only the reader sees the loss
         (lambda data: data[:-1000], "96 frames, but its WAV header gives 100"),
-    ])
+    ], ids=["junk", "truncated"])
     def test_damaged_subset_clip_is_user_error(self, trained_bank, tmp_path, capsys, damage,
                                                message):
         out = copy_root(trained_bank, tmp_path)
