@@ -40,7 +40,7 @@ import stat
 import sys
 import traceback
 from contextlib import closing
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +48,7 @@ import numpy as np
 from . import attacks, corpus, fusion, metrics
 from . import experts as ex
 from .audio import AudioError
-from .config import ConfigError, ExperimentConfig, validate_config
+from .config import ConfigError, ExperimentConfig, Seeds, validate_config
 from .experts import CheckpointError, FrozenContractError
 from .tensor import GraphError, NonFiniteError
 
@@ -297,7 +297,7 @@ class Pipeline:
         watched = [self.manifest_path("T0"), self.audio_dir("T0")]
 
         def fn():
-            corpus.build_corpus(self.cfg.synth, self.root, self.cfg.seeds["data"])
+            corpus.build_corpus(self.cfg.synth, self.root, self.cfg.seeds.data)
 
         return self.run_stage("synth", watched, fn)
 
@@ -351,7 +351,7 @@ class Pipeline:
                 manifest.split("dev"),
                 self.root,
                 self.cfg.expert_train,
-                self.cfg.seeds["training"],
+                self.cfg.seeds.training,
                 log=lambda msg: self.log("train-shared", msg),
             )
             ex.save_expert_checkpoint(model, self.ckpt_path("e0"))
@@ -398,12 +398,9 @@ class Pipeline:
                     manifest.split("train"),
                     manifest.split("dev"),
                     self.root,
-                    rank=self.cfg.lora["rank"],
-                    alpha=self.cfg.lora["alpha"],
-                    dropout_p=self.cfg.lora["dropout"],
-                    hyper=self.cfg.expert_train,
-                    seed=self.cfg.seeds["training"],
-                    scale_mode=self.cfg.lora["scale_mode"],
+                    self.cfg.lora,
+                    self.cfg.expert_train,
+                    self.cfg.seeds.training,
                     log=lambda msg: self.log(stage, msg),
                 )
                 ex.save_adapter_checkpoint(model, self.ckpt_path(f"ase_{condition}"))
@@ -443,7 +440,7 @@ class Pipeline:
         for condition in self.cfg.train_conditions:
             manifests.append(self.load_manifest(condition))
         subset = corpus.sample_fusion_subset(
-            manifests, self.cfg.subset_fraction, self.cfg.seeds["fusion"]
+            manifests, self.cfg.subset_fraction, self.cfg.seeds.fusion
         ).entries
         dev = [e for manifest in manifests for e in manifest.split("dev")]
         entries = subset + dev
@@ -506,11 +503,11 @@ class Pipeline:
             def fn(k=k, out_path=out_path, stage=stage):
                 system = fusion.FusionSystem(
                     loaded["bank"], k, renormalize=self.cfg.renormalize,
-                    seed=corpus.stable_seed(self.cfg.seeds["fusion"], "init", k),
+                    seed=corpus.stable_seed(self.cfg.seeds.fusion, "init", k),
                 )
                 fusion.train_fusion(
                     system, *loaded["data"], self.cfg.fusion_train,
-                    corpus.stable_seed(self.cfg.seeds["fusion"], "train", k),
+                    corpus.stable_seed(self.cfg.seeds.fusion, "train", k),
                     log=lambda msg: self.log(stage, msg),
                 )
                 fusion.save_fusion_checkpoint(system, out_path, loaded["refs"])
@@ -740,9 +737,8 @@ def _resolve_out_root(args, config: ExperimentConfig) -> Path:
 def run_command(args) -> int:
     config = validate_config(args.config)
     if args.seed_override is not None:
-        config.seeds = {
-            name: corpus.stable_seed(args.seed_override, name) for name in config.seeds
-        }
+        config.seeds = Seeds(*(corpus.stable_seed(args.seed_override, f.name)
+                               for f in fields(Seeds)))
     out_root = _resolve_out_root(args, config)
     print(f"[config] resolved: {json.dumps(asdict(config), sort_keys=True)}", flush=True)
     if args.command == "validate-config":
@@ -778,7 +774,8 @@ def main(argv=None) -> int:
             print(f"config error: {error}", file=sys.stderr)
         return 1
     except (MissingArtifactError, corpus.ManifestError, attacks.AttackError,
-            metrics.ScoreSetError, metrics.ReportError, AudioError, FileNotFoundError) as exc:
+            metrics.ScoreSetError, metrics.ReportError, AudioError, ex.ExpertError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (FrozenContractError, NonFiniteError, GraphError, CheckpointError) as exc:

@@ -3,30 +3,50 @@
 Three top-level seeds cover the stochastic stages (corpus + attacks, expert
 training, fusion subset + fusion training); everything else derives from them
 with stable hashing, so a config fully pins the experiment.
+
+Every config group is a dataclass whose field defaults are the defaults:
+`seeds` (`Seeds`), `synth` (`corpus.SynthConfig`), `encoder`
+(`experts.EncoderConfig`), `lora` (`experts.LoraConfig`: the rank, alpha,
+dropout and scale mode of the attack-specific experts' adapters) and the two
+trainers (`experts.TrainHyper`). `resolve_config` builds each group by one
+rule: the group is a JSON object, each key names a field, and each value has
+the JSON type of the field's default, so an int field takes only a JSON
+integer and a float field any JSON number. The dataclass then checks ranges.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .attacks import PRESET_NAMES
-from .corpus import SynthConfig, SynthConfigError, stable_seed
-from .experts import (
-    EncoderConfig,
-    ExpertError,
-    SCALE_ALPHA_LITERAL,
-    SCALE_ALPHA_OVER_R,
-    TrainHyper,
-)
+from .corpus import SynthConfig, stable_seed
+from .experts import EncoderConfig, LoraConfig, TrainHyper
 
-SEED_NAMES = ("data", "training", "fusion")
 
-# The JSON type each config group must have, by the type of its default;
-# `subset_fraction` takes any number and is range-checked on its own.
-JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "true or false"}
+def _is_int(value) -> bool:
+    """A JSON integer: Python's bool is an int, JSON's true/false is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+# (description, test) of the JSON values a field takes, by the type of its
+# default; the one tuple default, `encoder.hidden_dims`, holds integers.
+JSON_TYPES = {
+    bool: ("true or false", lambda value: isinstance(value, bool)),
+    int: ("an integer", _is_int),
+    float: ("a number", _is_number),
+    str: ("a string", lambda value: isinstance(value, str)),
+    list: ("a list", lambda value: isinstance(value, list)),
+    tuple: ("a list of integers",
+            lambda value: isinstance(value, list) and all(map(_is_int, value))),
+    dict: ("an object", lambda value: isinstance(value, dict)),
+}
 
 # Conditions whose training-split attack differs from the evaluation attack
 # (evaluation adds unseen noise colors / an unseen cutoff).
@@ -48,11 +68,18 @@ class ConfigError(ValueError):
 
 
 @dataclass
+class Seeds:
+    data: int = 8101
+    training: int = 8202
+    fusion: int = 8303
+
+
+@dataclass
 class ExperimentConfig:
     """The resolved experiment; its field defaults are the default config."""
 
     out_dir: str = "runs/default"
-    seeds: dict = field(default_factory=lambda: {"data": 8101, "training": 8202, "fusion": 8303})
+    seeds: Seeds = field(default_factory=Seeds)
     synth: SynthConfig = field(default_factory=SynthConfig)
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     # expert id -> training condition
@@ -66,9 +93,7 @@ class ExperimentConfig:
         "noise_first", "filter_first", "rawboost4", "rawboost5", "rawboost6", "rawboost7",
         "rawboost8",
     ])
-    lora: dict = field(default_factory=lambda: {
-        "rank": 4, "alpha": 16.0, "dropout": 0.1, "scale_mode": SCALE_ALPHA_OVER_R,
-    })
+    lora: LoraConfig = field(default_factory=LoraConfig)
     expert_train: TrainHyper = field(default_factory=TrainHyper)
     fusion_train: TrainHyper = field(default_factory=TrainHyper)
     k_values: list = field(default_factory=lambda: [3, 4, 5])
@@ -91,55 +116,67 @@ class ExperimentConfig:
         return TRAIN_PRESET_OVERRIDES.get(condition, condition)
 
     def attack_seed(self, condition: str) -> int:
-        return stable_seed(self.seeds["data"], "attack", condition)
+        return stable_seed(self.seeds.data, "attack", condition)
 
     def fingerprint(self) -> str:
         text = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _is_int(value) -> bool:
-    """A JSON integer: Python's bool is an int, JSON's true/false is not."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _typed(where: str, value, default, errors: list) -> bool:
+    """Whether JSON `value` has the type of `default`, a group's dataclass
+    being an object; records why not."""
+    kind, test = JSON_TYPES[dict if is_dataclass(default) else type(default)]
+    if not test(value):
+        errors.append(f"{where} must be {kind}, got {value!r}")
+        return False
+    return True
 
 
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+def _unknown(where: str, names) -> str:
+    return f"{where}: unknown key; valid keys: {', '.join(names)}"
+
+
+def _group(name: str, cls, value, errors: list):
+    """Config group `name`, dataclass `cls`, from the JSON object `value`
+    over the field defaults; on any error, the defaults."""
+    default = cls()
+    if not _typed(name, value, default, errors):
+        return default
+    names = [f.name for f in fields(cls)]
+    count = len(errors)
+    for key, item in value.items():
+        if key not in names:
+            errors.append(_unknown(f"{name}.{key}", names))
+        else:
+            _typed(f"{name}.{key}", item, getattr(default, key), errors)
+    if len(errors) > count:
+        return default
+    try:
+        return cls(**value)
+    except ValueError as exc:  # a range check of the dataclass
+        errors.append(f"{name}: {exc}")
+        return default
 
 
 def resolve_config(raw: dict) -> tuple:
     """Fill defaults, check every cross-reference; returns (config, errors)."""
     errors = []
-    defaults = asdict(ExperimentConfig())
-    unknown = sorted(set(raw) - set(defaults))
-    if unknown:
-        errors.append(f"unknown config keys: {', '.join(unknown)}")
-    merged = {**defaults, **{k: v for k, v in raw.items() if k in defaults}}
-    for key, default in defaults.items():
-        kind = type(default)
-        if kind in JSON_TYPES and not isinstance(merged[key], kind):
-            errors.append(f"{key} must be {JSON_TYPES[kind]}, got {merged[key]!r}")
-            merged[key] = default
+    defaults = ExperimentConfig()
+    names = [f.name for f in fields(ExperimentConfig)]
+    errors += [_unknown(key, names) for key in raw if key not in names]
+    merged = {}
+    for name in names:
+        default = getattr(defaults, name)
+        value = raw.get(name, default)
+        if is_dataclass(default):
+            value = _group(name, type(default), raw.get(name, {}), errors)
+        # subset_fraction takes any number and is range-checked below
+        elif name != "subset_fraction" and not _typed(name, value, default, errors):
+            value = default
+        merged[name] = value
 
-    seeds = dict(defaults["seeds"])
-    seeds.update(merged["seeds"])
-    for name in SEED_NAMES:
-        if name not in seeds or not _is_int(seeds[name]):
-            errors.append(f"seeds.{name} must be an integer (every stochastic stage needs a seed)")
-
-    try:
-        synth = SynthConfig(**{**defaults["synth"], **merged["synth"]}).validate()
-    except (SynthConfigError, TypeError) as exc:
-        errors.append(f"synth: {exc}")
-        synth = SynthConfig()
-
-    try:
-        encoder = EncoderConfig(**{**defaults["encoder"], **merged["encoder"]})
-    except (ExpertError, TypeError) as exc:
-        errors.append(f"encoder: {exc}")
-        encoder = EncoderConfig()
-
-    roster = dict(merged["roster"])
+    roster = merged["roster"]
     if not roster:
         errors.append("roster must name at least one expert")
     valid = f"valid conditions: {', '.join(CONDITIONS)}"
@@ -159,32 +196,7 @@ def resolve_config(raw: dict) -> tuple:
             errors.append(f"condition {name!r} is named {count} times across roster, "
                           f"eval_extra and mixed; name each condition once")
 
-    lora = {**defaults["lora"], **merged["lora"]}
-    if not _is_int(lora.get("rank")) or lora["rank"] < 1:
-        errors.append("lora.rank must be an integer >= 1")
-    if not _is_number(lora.get("dropout")) or not 0.0 <= lora["dropout"] < 1.0:
-        errors.append("lora.dropout must be a number in [0, 1)")
-    if not _is_number(lora.get("alpha")):
-        errors.append("lora.alpha must be a number")
-    if lora.get("scale_mode") not in (SCALE_ALPHA_OVER_R, SCALE_ALPHA_LITERAL):
-        errors.append(f"lora.scale_mode must be {SCALE_ALPHA_OVER_R!r} or {SCALE_ALPHA_LITERAL!r}")
-
-    def hyper(key):
-        try:
-            return TrainHyper(**{**defaults[key], **merged[key]})
-        except TypeError as exc:
-            errors.append(f"{key}: {exc}")
-            return TrainHyper()
-
-    expert_train = hyper("expert_train")
-    fusion_train = hyper("fusion_train")
-    for key, h in (("expert_train", expert_train), ("fusion_train", fusion_train)):
-        if not all(_is_number(v) for v in asdict(h).values()):
-            errors.append(f"{key}: every field must be a number")
-        elif h.lr <= 0 or h.batch_size < 1 or h.max_epochs < 1:
-            errors.append(f"{key}: lr, batch_size, and max_epochs must be positive")
-
-    k_values = list(merged["k_values"])
+    k_values = merged["k_values"]
     n_experts = len(roster)
     for k in k_values:
         if not _is_int(k) or k < 1:
@@ -202,26 +214,12 @@ def resolve_config(raw: dict) -> tuple:
                           f"E0, ensemble and fused_top<k> are reserved")
 
     fraction = merged["subset_fraction"]
-    if not _is_number(fraction) or not 0.0 < float(fraction) <= 1.0:
+    if _is_number(fraction) and 0.0 < fraction <= 1.0:
+        merged["subset_fraction"] = float(fraction)
+    else:
         errors.append("subset_fraction must be in (0, 1]")
-
-    config = ExperimentConfig(
-        out_dir=str(merged["out_dir"]),
-        seeds={name: seeds.get(name) for name in SEED_NAMES},
-        synth=synth,
-        encoder=encoder,
-        roster=roster,
-        eval_extra=list(merged["eval_extra"]),
-        mixed=list(merged["mixed"]),
-        lora=lora,
-        expert_train=expert_train,
-        fusion_train=fusion_train,
-        k_values=k_values,
-        subset_fraction=(float(fraction) if _is_number(fraction)
-                         else defaults["subset_fraction"]),
-        renormalize=merged["renormalize"],
-    )
-    return config, errors
+        merged["subset_fraction"] = defaults.subset_fraction
+    return ExperimentConfig(**merged), errors
 
 
 def validate_config(source) -> ExperimentConfig:

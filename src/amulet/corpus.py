@@ -53,6 +53,9 @@ class SynthConfig:
     noise_floor_db: float = -40.0
     peak: float = 0.85
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
         errors = []
         for name in ("n_train", "n_dev", "n_eval"):
@@ -163,7 +166,6 @@ def synth_clip(label: str, seed: int, cfg: SynthConfig) -> AudioClip:
     """One deterministic synthetic clip of the requested class."""
     if label not in CLASS_LABELS:
         raise ManifestError(f"unknown class {label!r}")
-    cfg.validate()
     rng = np.random.Generator(np.random.Philox(seed))
     sr = cfg.sample_rate
     n = int(round(cfg.clip_seconds * sr))
@@ -232,7 +234,7 @@ def resolve_clip(entry: ManifestEntry, root) -> AudioClip:
         clip = read_wav(Path(root) / entry.path, clip_id=entry.clip_id, label=entry.label)
         return clip
     if entry.synth is not None:
-        cfg = SynthConfig(**entry.synth).validate()
+        cfg = SynthConfig(**entry.synth)
         clip = synth_clip(entry.label, entry.seed, cfg)
         return AudioClip(clip.samples, clip.sample_rate, entry.clip_id, entry.label)
     raise ManifestError(f"{entry.clip_id}: entry has neither a path nor a synth recipe")
@@ -248,7 +250,6 @@ def clip_length(entry: ManifestEntry, root) -> int:
 
 def build_corpus(cfg: SynthConfig, out_dir, seed: int, condition: str = "T0") -> Manifest:
     """Write a balanced train/dev/eval corpus of WAVs plus its manifest."""
-    cfg.validate()
     root = Path(out_dir)
     audio_dir = root / "audio" / condition
     audio_dir.mkdir(parents=True, exist_ok=True)

@@ -9,6 +9,11 @@ two-path form x@W0 + s*((x@A)@B) with s = alpha/rank by default (the literal
 s = alpha reading is available behind `scale_mode`), A ~ N(0, 0.02), B = 0,
 so a freshly injected expert is functionally identical to its base.
 
+One `LoraConfig` (rank, alpha, dropout, scale_mode), checked when it is
+made, sets an expert's adapters everywhere: it is the config's `lora` group,
+what `lora_inject` and `train_ase` take, the model's `lora`, and the `lora`
+member of its checkpoints (there under the key `dropout_p` for the dropout).
+
 One definition serves training and inference: the graph functions
 `encoder_forward` and `expert_logits` over clips stacked by rows. Inference
 runs them on `constant_leaves`, `INFERENCE_CHUNK` clips at a time; stacked
@@ -71,53 +76,41 @@ class EncoderConfig:
         return list(zip(dims[:-1], dims[1:]))
 
 
-@dataclass
-class LoraAdapter:
-    """Low-rank pair for one host linear layer: delta = scale * (a @ b)."""
+@dataclass(frozen=True)
+class LoraConfig:
+    """The adapters of an attack-specific expert: on every encoder layer,
+    delta = scale * ((x@A)@B) with A (m x rank) and B (rank x n), and input
+    dropout `dropout` on the adapter path while training."""
 
-    a: np.ndarray
-    b: np.ndarray
-    rank: int
-    alpha: float
-    dropout_p: float
+    rank: int = 4
+    alpha: float = 16.0
+    dropout: float = 0.1
     scale_mode: str = SCALE_ALPHA_OVER_R
 
     def __post_init__(self):
         if self.rank < 1:
-            raise ExpertError("adapter rank must be >= 1")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ExpertError("adapter dropout must be in [0, 1)")
+            raise ExpertError("rank must be >= 1")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ExpertError("dropout must be in [0, 1)")
         if self.scale_mode not in (SCALE_ALPHA_OVER_R, SCALE_ALPHA_LITERAL):
-            raise ExpertError(f"unknown scale mode {self.scale_mode!r}")
-        if self.a.shape[1] != self.rank or self.b.shape[0] != self.rank:
-            raise ExpertError(f"adapter shapes {self.a.shape} x {self.b.shape} disagree with rank {self.rank}")
+            raise ExpertError(f"scale_mode must be {SCALE_ALPHA_OVER_R!r} or "
+                              f"{SCALE_ALPHA_LITERAL!r}")
 
     @property
     def scale(self) -> float:
-        return lora_scale(self.alpha, self.rank, self.scale_mode)
-
-
-def lora_scale(alpha: float, rank: int, scale_mode: str) -> float:
-    return alpha / rank if scale_mode == SCALE_ALPHA_OVER_R else alpha
-
-
-def lora_merged_weight(w0: np.ndarray, adapter: LoraAdapter) -> np.ndarray:
-    """Host weight with the adapter folded in: w0 + scale * (a @ b)."""
-    if adapter.a.shape[0] != w0.shape[0] or adapter.b.shape[1] != w0.shape[1]:
-        raise ExpertError(
-            f"adapter {adapter.a.shape} x {adapter.b.shape} does not match host {w0.shape}"
-        )
-    return w0 + adapter.scale * tc.matmul_values(adapter.a, adapter.b)
+        return self.alpha / self.rank if self.scale_mode == SCALE_ALPHA_OVER_R else self.alpha
 
 
 class ExpertModel:
-    """Named-tensor store: encoder layers, head, frozen flags, optional adapters."""
+    """Named-tensor store: encoder layers, head, frozen flags, and the
+    `LoraConfig` of its adapters, if any."""
 
-    def __init__(self, cfg: EncoderConfig, tensors: dict, frozen=(), lora_meta: dict | None = None):
+    def __init__(self, cfg: EncoderConfig, tensors: dict, frozen=(),
+                 lora: LoraConfig | None = None):
         self.cfg = cfg
         self.tensors = {name: np.asarray(v, dtype=np.float64) for name, v in tensors.items()}
         self.frozen = set(frozen)
-        self.lora_meta = dict(lora_meta) if lora_meta else None
+        self.lora = lora
 
     @property
     def n_layers(self) -> int:
@@ -125,26 +118,11 @@ class ExpertModel:
 
     @property
     def has_adapters(self) -> bool:
-        return self.lora_meta is not None
-
-    def adapter(self, layer: int) -> LoraAdapter:
-        meta = self.lora_meta
-        return LoraAdapter(
-            self.tensors[f"lora.a{layer}"],
-            self.tensors[f"lora.b{layer}"],
-            meta["rank"],
-            meta["alpha"],
-            meta["dropout_p"],
-            meta["scale_mode"],
-        )
+        return self.lora is not None
 
     def copy(self) -> "ExpertModel":
-        return ExpertModel(
-            self.cfg,
-            {k: v.copy() for k, v in self.tensors.items()},
-            set(self.frozen),
-            dict(self.lora_meta) if self.lora_meta else None,
-        )
+        return ExpertModel(self.cfg, {k: v.copy() for k, v in self.tensors.items()},
+                           self.frozen, self.lora)
 
 
 def _filterbank_init(m: int, n: int, sample_rate: int = 16000) -> np.ndarray:
@@ -309,12 +287,12 @@ def encoder_forward(model, leaves, x: tc.Node, frames, dropout_rngs=None, layer0
             base = tc.matmul(h, w, frames)
         pre = tc.add(base, leaves[f"enc.b{i}"], frames)
         if model.has_adapters:
-            meta = model.lora_meta
+            lora = model.lora
             a = leaves[f"lora.a{i}"]
             x_in = h
-            if dropout_rngs is not None and meta["dropout_p"] > 0.0:
+            if dropout_rngs is not None and lora.dropout > 0.0:
                 mask = np.concatenate([
-                    _dropout_mask((seg.stop - seg.start, h.shape[1]), meta["dropout_p"], rng)
+                    _dropout_mask((seg.stop - seg.start, h.shape[1]), lora.dropout, rng)
                     for seg, rng in zip(frames, dropout_rngs)
                 ])
                 x_in = tc.mul(h, tc.constant(mask))
@@ -323,8 +301,7 @@ def encoder_forward(model, leaves, x: tc.Node, frames, dropout_rngs=None, layer0
             else:
                 xa = tc.matmul(x_in, a, frames)
             delta = tc.matmul(xa, leaves[f"lora.b{i}"], frames)
-            scale = lora_scale(meta["alpha"], meta["rank"], meta["scale_mode"])
-            pre = tc.add(pre, tc.scale(delta, scale))
+            pre = tc.add(pre, tc.scale(delta, lora.scale))
         h = tc.tanh(pre)
     return h
 
@@ -358,14 +335,7 @@ def loss_nodes(model, leaves, feats, labels, dropout_rngs=None, layer0=None) -> 
     return tc.cross_entropy(logits, [LABEL_INDEX[label] for label in labels])
 
 
-def lora_inject(
-    model: ExpertModel,
-    rank: int,
-    alpha: float,
-    dropout_p: float,
-    seed: int,
-    scale_mode: str = SCALE_ALPHA_OVER_R,
-) -> ExpertModel:
+def lora_inject(model: ExpertModel, lora: LoraConfig, seed: int) -> ExpertModel:
     """Freeze the base encoder (weights and biases) and attach fresh adapters.
 
     The head is copied and stays trainable; with B = 0 the injected model is
@@ -376,19 +346,11 @@ def lora_inject(
     out = model.copy()
     rng = np.random.Generator(np.random.Philox(seed))
     for i, (m, n) in enumerate(model.cfg.layer_dims):
-        out.tensors[f"lora.a{i}"] = rng.normal(0.0, LORA_INIT_STD, size=(m, rank))
-        out.tensors[f"lora.b{i}"] = np.zeros((rank, n))
+        out.tensors[f"lora.a{i}"] = rng.normal(0.0, LORA_INIT_STD, size=(m, lora.rank))
+        out.tensors[f"lora.b{i}"] = np.zeros((lora.rank, n))
         out.frozen.add(f"enc.w{i}")
         out.frozen.add(f"enc.b{i}")
-    out.lora_meta = {
-        "rank": int(rank),
-        "alpha": float(alpha),
-        "dropout_p": float(dropout_p),
-        "scale_mode": scale_mode,
-    }
-    # validates rank/dropout/scale_mode against the host shapes
-    for i in range(out.n_layers):
-        out.adapter(i)
+    out.lora = lora
     return out
 
 
@@ -411,6 +373,10 @@ class TrainHyper:
     lr_factor: float = 0.5
     lr_floor: float = 1e-7
     patience: int = 10
+
+    def __post_init__(self):
+        if self.lr <= 0 or self.batch_size < 1 or self.max_epochs < 1:
+            raise ExpertError("lr, batch_size, and max_epochs must be positive")
 
 
 def dev_eer(chunk_logits, dev_clips, dev_labels) -> float:
@@ -532,7 +498,7 @@ def train_expert(
 
     train_set, dev_set = load_clips(train_entries), load_clips(dev_entries)
     tensors, history = fit(work, *train_set, batch_loss, epoch_eer, hyper, seed, log)
-    best = ExpertModel(work.cfg, tensors, work.frozen, work.lora_meta)
+    best = ExpertModel(work.cfg, tensors, work.frozen, work.lora)
     if frozen_checksum(work) != contract or frozen_checksum(best) != contract:
         raise FrozenContractError("frozen tensors changed during training")
     return best, history
@@ -546,23 +512,10 @@ def train_shared(cfg: EncoderConfig, train_entries, dev_entries, root,
                         stable_seed(seed, "shared"), log=log)
 
 
-def train_ase(
-    base: ExpertModel,
-    condition: str,
-    train_entries,
-    dev_entries,
-    root,
-    rank: int,
-    alpha: float,
-    dropout_p: float,
-    hyper: TrainHyper,
-    seed: int,
-    scale_mode: str = SCALE_ALPHA_OVER_R,
-    log=None,
-) -> tuple:
+def train_ase(base: ExpertModel, condition: str, train_entries, dev_entries, root,
+              lora: LoraConfig, hyper: TrainHyper, seed: int, log=None) -> tuple:
     """Adapter + head training on one attacked condition; base stays frozen."""
-    injected = lora_inject(base, rank, alpha, dropout_p,
-                           stable_seed(seed, "inject", condition), scale_mode)
+    injected = lora_inject(base, lora, stable_seed(seed, "inject", condition))
     return train_expert(injected, train_entries, dev_entries, root, hyper,
                         stable_seed(seed, "ase", condition), log=log)
 
@@ -631,6 +584,22 @@ def _tensors_from_payload(data: dict) -> dict:
     }
 
 
+def _lora_payload(lora: LoraConfig | None):
+    """A checkpoint's `lora` member. Its `dropout_p` key and int/float casts
+    are part of the checkpoint format, so a config that writes `16` for
+    alpha saves the bytes of `16.0`."""
+    if lora is None:
+        return None
+    return {"rank": int(lora.rank), "alpha": float(lora.alpha),
+            "dropout_p": float(lora.dropout), "scale_mode": lora.scale_mode}
+
+
+def _lora_from_payload(data) -> LoraConfig | None:
+    if data is None:
+        return None
+    return LoraConfig(data["rank"], data["alpha"], data["dropout_p"], data["scale_mode"])
+
+
 def save_expert_checkpoint(model: ExpertModel, path) -> str:
     payload = {
         "format": "expert-checkpoint",
@@ -638,7 +607,7 @@ def save_expert_checkpoint(model: ExpertModel, path) -> str:
         "encoder": asdict(model.cfg),
         "tensors": _tensor_payload(model.tensors, model.tensors),
         "frozen": sorted(model.frozen),
-        "lora": model.lora_meta,
+        "lora": _lora_payload(model.lora),
     }
     return _write_payload(payload, path)
 
@@ -648,7 +617,7 @@ def load_expert_checkpoint(path) -> tuple:
     payload = _read_payload(path, "expert-checkpoint")
     cfg = EncoderConfig(**payload["encoder"])
     model = ExpertModel(cfg, _tensors_from_payload(payload["tensors"]),
-                        payload["frozen"], payload.get("lora"))
+                        payload["frozen"], _lora_from_payload(payload.get("lora")))
     return model, payload["checksum"]
 
 
@@ -662,7 +631,7 @@ def save_adapter_checkpoint(model: ExpertModel, path) -> str:
         "version": CHECKPOINT_VERSION,
         "encoder": asdict(model.cfg),
         "tensors": _tensor_payload(model.tensors, names),
-        "lora": model.lora_meta,
+        "lora": _lora_payload(model.lora),
         "base_checksum": encoder_checksum(model),
     }
     return _write_payload(payload, path)
@@ -677,9 +646,14 @@ def load_adapter_checkpoint(path, base: ExpertModel) -> tuple:
         raise CheckpointError("cannot load an adapter onto an already adapted model")
     out = base.copy()
     out.tensors.update(_tensors_from_payload(payload["tensors"]))
-    out.lora_meta = dict(payload["lora"])
-    for i in range(out.n_layers):
+    out.lora = _lora_from_payload(payload["lora"])
+    rank = out.lora.rank
+    for i, (m, n) in enumerate(out.cfg.layer_dims):
         out.frozen.add(f"enc.w{i}")
         out.frozen.add(f"enc.b{i}")
-        out.adapter(i)  # validate shapes
+        want = {f"lora.a{i}": (m, rank), f"lora.b{i}": (rank, n)}
+        got = {name: out.tensors[name].shape for name in want if name in out.tensors}
+        if got != want:
+            raise CheckpointError(f"{path}: adapter tensors {got} disagree with rank {rank} "
+                                  f"on layer {i}, which needs {want}")
     return out, payload["checksum"]

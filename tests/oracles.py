@@ -32,6 +32,16 @@ def matmul_triple_loop(a, b):
     return np.array(out)
 
 
+def fold_adapters(model):
+    """A copy of adapted `model` without adapters, each layer's adapter
+    folded into its host weight: enc.w{i} = W0 + scale * (A @ B)."""
+    tensors = {name: v for name, v in model.tensors.items() if not name.startswith("lora.")}
+    for i in range(model.n_layers):
+        delta = model.tensors[f"lora.a{i}"] @ model.tensors[f"lora.b{i}"]
+        tensors[f"enc.w{i}"] = model.tensors[f"enc.w{i}"] + model.lora.scale * delta
+    return ex.ExpertModel(model.cfg, tensors)
+
+
 def expand_watched(root, paths) -> dict:
     """{path relative to `root`: path} of every existing file among `paths`,
     directories expanded by `Path.rglob` (which follows file symlinks but does
@@ -231,13 +241,13 @@ def expert_clip_loss(model, leaves, feats, label, dropout_rng=None, layer0=None)
             base = tc.matmul(h, w)
         pre = tc.add(base, leaves[f"enc.b{i}"])
         if model.has_adapters:
-            adapter = model.adapter(i)
+            lora = model.lora
             x_in = h
-            if dropout_rng is not None and adapter.dropout_p > 0.0:
-                keep = dropout_rng.random(h.shape) >= adapter.dropout_p
-                x_in = tc.mul(h, tc.constant(keep / (1.0 - adapter.dropout_p)))
+            if dropout_rng is not None and lora.dropout > 0.0:
+                keep = dropout_rng.random(h.shape) >= lora.dropout
+                x_in = tc.mul(h, tc.constant(keep / (1.0 - lora.dropout)))
             delta = tc.matmul(tc.matmul(x_in, leaves[f"lora.a{i}"]), leaves[f"lora.b{i}"])
-            pre = tc.add(pre, tc.scale(delta, adapter.scale))
+            pre = tc.add(pre, tc.scale(delta, lora.scale))
         h = tc.tanh(pre)
     mag = tc.pair_magnitude(h, ex.PAIR_EPS)
     contrast = tc.log_shift(tc.std_rows(mag), ex.POOL_LOG_EPS)

@@ -23,6 +23,7 @@ from amulet.audio import AudioClip
 from oracles import (
     eer_segment_sweep,
     finite_difference_grads,
+    fold_adapters,
     matmul_triple_loop,
     measure_snr,
     random_graph,
@@ -46,7 +47,7 @@ class TestCriterion1LoraIdentity:
     def test_injected_expert_is_bit_identical(self):
         start = time.perf_counter()
         base = ex.new_expert(ENC, seed=1001)
-        injected = ex.lora_inject(base, rank=4, alpha=32.0, dropout_p=0.1, seed=1002)
+        injected = ex.lora_inject(base, ex.LoraConfig(4, 32.0, 0.1), seed=1002)
         rng = np.random.default_rng(1003)
 
         def infer(model, feats):
@@ -72,17 +73,20 @@ class TestCriterion2LoraAlgebra:
         rng = np.random.default_rng(2001)
         worst = 0.0
         for _ in range(100):
-            m, r, n, t = (int(v) for v in rng.integers(2, 16, size=4))
-            w0 = rng.standard_normal((m, n))
-            adapter = ex.LoraAdapter(
-                rng.normal(0, 0.02, (m, r)), rng.standard_normal((r, n)),
-                r, float(rng.uniform(1, 64)), 0.0,
-            )
-            x = rng.standard_normal((t, m))
-            merged = tc.matmul_values(x, ex.lora_merged_weight(w0, adapter))
-            two_path = tc.matmul_values(x, w0) + adapter.scale * tc.matmul_values(
-                tc.matmul_values(x, adapter.a), adapter.b
-            )
+            # an adapted encoder with random nonzero adapters against a copy
+            # without adapters whose weights fold them in
+            dims = tuple(int(d) for d in rng.integers(3, 16, size=int(rng.integers(2, 5))))
+            cfg = ex.EncoderConfig(frame_len=dims[0], hop=dims[0], hidden_dims=dims[1:])
+            lora = ex.LoraConfig(int(rng.integers(1, 9)), float(rng.uniform(1, 64)), 0.0)
+            model = ex.lora_inject(ex.new_expert(cfg, int(rng.integers(1 << 30))), lora, seed=1)
+            for i in range(model.n_layers):
+                for name in (f"lora.a{i}", f"lora.b{i}"):
+                    model.tensors[name] = rng.normal(0.0, 0.2, model.tensors[name].shape)
+            x = tc.constant(rng.standard_normal((int(rng.integers(1, 16)), dims[0])))
+            frames = tc.row_segments([x.shape[0]])
+            two_path, merged = (
+                ex.encoder_forward(m, ex.constant_leaves(m), x, frames).value
+                for m in (model, fold_adapters(model)))
             worst = max(worst, float(np.max(np.abs(merged - two_path))))
         assert worst < 1e-10
 
@@ -91,7 +95,7 @@ class TestCriterion2LoraAlgebra:
             frame_len = int(rng.integers(8, 256))
             rank = int(rng.integers(1, 9))
             cfg = ex.EncoderConfig(frame_len=frame_len, hop=frame_len, hidden_dims=dims)
-            injected = ex.lora_inject(ex.new_expert(cfg, 0), rank, 16.0, 0.0, seed=1)
+            injected = ex.lora_inject(ex.new_expert(cfg, 0), ex.LoraConfig(rank, 16.0, 0.0), seed=1)
             chain = (frame_len, *dims)
             formula = sum(rank * (a + b) for a, b in zip(chain[:-1], chain[1:]))
             brute = sum(
@@ -101,7 +105,7 @@ class TestCriterion2LoraAlgebra:
             )
             assert ex.count_trainable(injected)["trainable"] == formula == brute
 
-        desk = ex.lora_inject(ex.new_expert(ENC, 0), rank=4, alpha=16.0, dropout_p=0.1, seed=2)
+        desk = ex.lora_inject(ex.new_expert(ENC, 0), ex.LoraConfig(4, 16.0, 0.1), seed=2)
         counts = ex.count_trainable(desk)
         assert (counts["trainable"], counts["total"]) == (1920, 18624)
         assert round(counts["percent"], 2) == 10.31
@@ -110,7 +114,8 @@ class TestCriterion2LoraAlgebra:
         report(
             "C2 adapter algebra and counts",
             True,
-            f"two-path max dev {worst:.1e} (<1e-10); 1920/18624=10.31%; 3.59M/318M=1.13%",
+            f"two-path vs folded forward max dev {worst:.1e} (<1e-10); "
+            "1920/18624=10.31%; 3.59M/318M=1.13%",
         )
 
 
@@ -128,13 +133,13 @@ class TestCriterion3Gradients:
 
         # composite expert forward (adapters + quadrature pooling head)
         cfg = ex.EncoderConfig(frame_len=10, hop=10, hidden_dims=(6, 6))
-        model = ex.lora_inject(ex.new_expert(cfg, 30), rank=2, alpha=8.0, dropout_p=0.0, seed=31)
+        model = ex.lora_inject(ex.new_expert(cfg, 30), ex.LoraConfig(2, 8.0, 0.0), seed=31)
         for i in range(model.n_layers):
             model.tensors[f"lora.b{i}"] = rng.normal(0, 0.2, model.tensors[f"lora.b{i}"].shape)
         feats = rng.standard_normal((6, 10)) * 0.4
 
         def loss_value(tensors):
-            probe = ex.ExpertModel(cfg, tensors, model.frozen, model.lora_meta)
+            probe = ex.ExpertModel(cfg, tensors, model.frozen, model.lora)
             leaves = ex.make_leaves(probe)
             return float(ex.loss_nodes(probe, leaves, [feats], ["spoof"]).value[0, 0])
 
@@ -273,10 +278,10 @@ class TestCriterion6FrozenContract:
         base_checksum = ex.encoder_checksum(base)
         ase, _ = ex.train_ase(
             base, "T0", manifest.split("train"), manifest.split("dev"), tmp_path,
-            rank=2, alpha=16.0, dropout_p=0.1, hyper=hyper, seed=63,
+            ex.LoraConfig(2, 16.0, 0.1), hyper=hyper, seed=63,
         )
         assert ex.encoder_checksum(ase) == base_checksum
-        injected = ex.lora_inject(base, 2, 16.0, 0.1, seed=999)
+        injected = ex.lora_inject(base, ex.LoraConfig(2, 16.0, 0.1), seed=999)
         assert ase.frozen == injected.frozen  # the same encoder tensors stay frozen
         assert ex.frozen_checksum(ase) == ex.frozen_checksum(injected)
 

@@ -7,7 +7,7 @@ import multiprocessing
 import pickle
 import shutil
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,7 @@ from amulet import corpus
 from amulet import experts as ex
 from amulet import fusion as fu
 from amulet.audio import AudioClip, write_wav
-from amulet.config import ConfigError, resolve_config, validate_config
+from amulet.config import ConfigError, ExperimentConfig, resolve_config, validate_config
 from oracles import expand_watched
 
 
@@ -36,6 +36,16 @@ def micro_config(out_dir, **overrides):
     }
     config.update(overrides)
     return config
+
+
+def perfbench_run(monkeypatch):
+    """perfbench's `run` module, which makes the benchmark's configs."""
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run
 
 
 def write_config(tmp_path, config):
@@ -57,20 +67,32 @@ class TestValidateConfig:
         config = validate_config("default")
         assert config.k_values == [3, 4, 5]
         assert config.expert_ids == ["E1", "E2", "E3", "E4", "E5"]
-        assert set(config.seeds) == {"data", "training", "fusion"}
+        assert set(asdict(config.seeds)) == {"data", "training", "fusion"}
 
-    def test_default_fingerprint_is_pinned(self):
+    def test_default_fingerprint_is_pinned(self, monkeypatch):
         # the fingerprint keys every stage cache: a moved default re-runs them all
         assert validate_config("default").fingerprint() == (
             "dae3321794c0415eb90514ff0234f60feec8d29cc6b34a56bf809da74c29ffe4"
         )
+        run = perfbench_run(monkeypatch)
+        assert {workload: validate_config(run.make_config(workload, seed=1)).fingerprint()
+                for workload in run.WORKLOADS} == {
+            "reproduce": "300a790472f761b5145a2caf57a3c1fbaf727d5181eb3cefaea978e28f163056",
+            "train": "f1af2bc35ae035597801d68022a7cfb651b4de5ca478c23d8b4a5c143a6bd8cd",
+            "score": "f6e6101d015efa4691380151f8ba184f46aa8ec0170e55c4e39d5c996e32128f",
+        }
+
+    def test_seed_override_is_pinned(self, capsys):
+        assert cli.main(["--seed-override", "1", "validate-config"]) == 0
+        line = capsys.readouterr().out.strip()
+        assert json.loads(line.split("[config] resolved: ", 1)[1])["seeds"] == {
+            "data": 10679894879504763407,
+            "training": 10354763800735998830,
+            "fusion": 10053459915855809456,
+        }
 
     def test_benchmark_config_keys_resolve(self, monkeypatch):
-        bench = Path(__file__).resolve().parent.parent / "perfbench"
-        monkeypatch.syspath_prepend(str(bench))
-        spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
-        run = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(run)
+        run = perfbench_run(monkeypatch)
         for workload in run.WORKLOADS:
             raw = run.make_config(workload, seed=1)
             for key, value in raw.items():
@@ -126,11 +148,44 @@ class TestValidateConfig:
         ({"renormalize": "no"}, "renormalize must be true or false"),
         ({"lora": {"rank": True}}, "lora.rank must be an integer"),
         ({"subset_fraction": True}, "subset_fraction must be in (0, 1]"),
+        ({"lora": {"rnak": 8}},
+         "lora.rnak: unknown key; valid keys: rank, alpha, dropout, scale_mode"),
+        ({"seeds": {"dta": 1}}, "seeds.dta: unknown key; valid keys: data, training, fusion"),
+        ({"synth": {"n_trian": 1}}, "synth.n_trian: unknown key; valid keys: n_train, "),
+        ({"expert_train": {"max_epochs": 1.5}}, "expert_train.max_epochs must be an integer"),
+        ({"fusion_train": {"batch_size": 1.5}}, "fusion_train.batch_size must be an integer"),
+        ({"synth": {"n_train": 2.5}}, "synth.n_train must be an integer"),
+        ({"encoder": {"frame_len": 160.5}}, "encoder.frame_len must be an integer"),
     ])
     def test_wrong_json_type_is_config_error(self, tmp_path, capsys, raw, message):
         path = write_config(tmp_path, raw)
         assert cli.main(["--config", path, "validate-config"]) == 1
-        assert f"config error: {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {message}")
+
+    def test_every_group_field_takes_only_its_json_type(self):
+        # a field added to a group later cannot skip the rule
+        wrong = {int: 1.5, float: True, str: 5, tuple: [64.5]}
+        defaults = ExperimentConfig()
+        groups = [f.name for f in fields(defaults) if is_dataclass(getattr(defaults, f.name))]
+        assert groups == ["seeds", "synth", "encoder", "lora", "expert_train", "fusion_train"]
+        for group in groups:
+            for name, default in asdict(getattr(defaults, group)).items():
+                _, errors = resolve_config({group: {name: wrong[type(default)]}})
+                assert len(errors) == 1, errors
+                assert errors[0].startswith(f"{group}.{name} must be "), errors
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"lora": {"rank": 0}}, "lora: rank must be >= 1"),
+        ({"lora": {"dropout": 1.0}}, "lora: dropout must be in [0, 1)"),
+        ({"lora": {"scale_mode": "alpha"}}, "lora: scale_mode must be 'alpha_over_r' or"),
+        ({"fusion_train": {"lr": 0}}, "fusion_train: lr, batch_size, and max_epochs must be"),
+        ({"synth": {"n_dev": 0}}, "synth: n_dev must be positive"),
+        ({"encoder": {"hop": 0}}, "encoder: encoder dims must be >= 2 and hop >= 1"),
+    ])
+    def test_range_error_names_its_group(self, raw, message):
+        _, errors = resolve_config(raw)
+        assert len(errors) == 1 and errors[0].startswith(message), errors
 
     def test_condition_named_twice_is_config_error(self, tmp_path, capsys):
         # two stages of one batch would write the same audio/, manifest and checkpoint
@@ -492,7 +547,7 @@ class TestChunkedScoring:
         base.tensors["head.w"] = rng.normal(0.0, 0.1, base.tensors["head.w"].shape)
         bank = [base]
         for i in range(5):
-            ase = ex.lora_inject(base, 4, 16.0, 0.1, seed=62 + i)
+            ase = ex.lora_inject(base, ex.LoraConfig(4, 16.0, 0.1), seed=62 + i)
             for name, value in ase.tensors.items():
                 if name.startswith("lora.b") or name == "head.w":
                     ase.tensors[name] = rng.normal(0.0, 0.1, value.shape)
@@ -659,7 +714,7 @@ def fusion_subset(config, root) -> list:
     manifests = [corpus.load_manifest(root / "manifests" / f"{c}.jsonl")
                  for c in ["T0", *config.train_conditions]]
     return corpus.sample_fusion_subset(manifests, config.subset_fraction,
-                                       config.seeds["fusion"]).entries
+                                       config.seeds.fusion).entries
 
 
 def buffer_of(array):
@@ -729,6 +784,19 @@ class TestFusionFeaturesOnWorkers:
         cli.Pipeline(config, out, jobs=64, log=lines.append).train_fusion()
         assert len(created) == 2
         assert lines == [f"[train-fusion-top{k}] skipped (outputs up to date)" for k in (3, 4, 5)]
+
+    def test_clip_shorter_than_a_frame_is_user_error(self, trained_bank, tmp_path, capsys):
+        out = copy_root(trained_bank, tmp_path)
+        for state in (out / "state").glob("train-fusion-*.json"):
+            state.unlink()
+        lines = (out / "manifests" / "T3.jsonl").read_text().splitlines()
+        entry = next(e for e in map(json.loads, lines) if e["split"] == "dev")
+        write_wav(out / entry["path"], AudioClip(np.zeros(100), 16000))
+        capsys.readouterr()
+        assert cli.main(["--config", trained_bank[0], "--out", str(out), "train-fusion"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: clip {entry['clip_id']!r} shorter than one frame (100 < 160)",
+        ]
 
     @pytest.mark.parametrize("damage, message", [
         (lambda data: b"not a wav file", "malformed WAV"),

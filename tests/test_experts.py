@@ -14,6 +14,7 @@ from oracles import (
     expert_clip_loss,
     finite_difference_grads,
     fit_per_clip,
+    fold_adapters,
     mean_of_clip_losses,
     relative_error,
     sum_all,
@@ -67,59 +68,70 @@ class TestFrameFeatures:
             ex.frame_features(clip, ENC)
 
 
-class TestLoraAlgebra:
-    def test_merged_equals_base_at_init(self):
-        w0 = np.random.default_rng(0).standard_normal((6, 4))
-        adapter = ex.LoraAdapter(
-            np.random.default_rng(1).normal(0, 0.02, (6, 2)), np.zeros((2, 4)),
-            rank=2, alpha=8.0, dropout_p=0.1,
-        )
-        assert np.array_equal(ex.lora_merged_weight(w0, adapter), w0)
+def encode(model, feats):
+    """Encoder output of one clip's frame matrix, on constant leaves."""
+    frames = tc.row_segments([feats.shape[0]])
+    return ex.encoder_forward(model, ex.constant_leaves(model), tc.constant(feats), frames).value
 
+
+def random_adapted(rng, dims, rank, alpha, scale_mode=ex.SCALE_ALPHA_OVER_R):
+    """An adapted expert on `dims` = (frame_len, *hidden_dims) with random
+    nonzero adapters."""
+    cfg = ex.EncoderConfig(frame_len=dims[0], hop=dims[0], hidden_dims=dims[1:])
+    lora = ex.LoraConfig(rank, alpha, 0.0, scale_mode)
+    model = ex.lora_inject(ex.new_expert(cfg, int(rng.integers(1 << 30))), lora, seed=1)
+    for i in range(model.n_layers):
+        for name in (f"lora.a{i}", f"lora.b{i}"):
+            model.tensors[name] = rng.standard_normal(model.tensors[name].shape) * 0.2
+    return model
+
+
+class TestLoraAlgebra:
     def test_hand_case(self):
-        w0 = np.zeros((2, 2))
-        adapter = ex.LoraAdapter(
-            np.array([[1.0], [0.0]]), np.array([[1.0, 2.0]]),
-            rank=1, alpha=4.0, dropout_p=0.0,
-        )
-        merged = ex.lora_merged_weight(w0, adapter)
-        assert np.array_equal(merged, [[4.0, 8.0], [0.0, 0.0]])
+        cfg = ex.EncoderConfig(frame_len=2, hop=2, hidden_dims=(2,))
+        tensors = {"enc.w0": np.zeros((2, 2)), "enc.b0": np.zeros((1, 2)),
+                   "lora.a0": np.array([[1.0], [0.0]]), "lora.b0": np.array([[1.0, 2.0]])}
+        model = ex.ExpertModel(cfg, tensors, lora=ex.LoraConfig(1, 4.0, 0.0))
+        # x @ (W0 + 4 * A @ B) = [1, 0] @ [[4, 8], [0, 0]]
+        assert np.array_equal(encode(model, np.array([[1.0, 0.0]])), np.tanh([[4.0, 8.0]]))
 
     def test_literal_scale_mode(self):
-        adapter = ex.LoraAdapter(
-            np.zeros((2, 4)), np.zeros((4, 2)),
-            rank=4, alpha=4.0, dropout_p=0.0, scale_mode=ex.SCALE_ALPHA_LITERAL,
-        )
         # literal mode ignores the rank divisor
-        assert adapter.scale == 4.0
-        over_r = ex.LoraAdapter(np.zeros((2, 4)), np.zeros((4, 2)), 4, 4.0, 0.0)
-        assert over_r.scale == 1.0
+        assert ex.LoraConfig(4, 4.0, 0.0, ex.SCALE_ALPHA_LITERAL).scale == 4.0
+        assert ex.LoraConfig(4, 4.0, 0.0).scale == 1.0
+        rng = np.random.default_rng(3)
+        feats = rng.standard_normal((5, 6))
+        literal = random_adapted(rng, (6, 4, 4), 4, 4.0, ex.SCALE_ALPHA_LITERAL)
+        folded = encode(fold_adapters(literal), feats)
+        assert np.max(np.abs(encode(literal, feats) - folded)) < 1e-10
+        literal.lora = ex.LoraConfig(4, 4.0, 0.0)
+        assert np.max(np.abs(encode(literal, feats) - folded)) > 1e-3
 
-    def test_shape_mismatch(self):
-        adapter = ex.LoraAdapter(np.zeros((3, 1)), np.zeros((1, 2)), 1, 1.0, 0.0)
-        with pytest.raises(ex.ExpertError):
-            ex.lora_merged_weight(np.zeros((2, 2)), adapter)
+    def test_shape_mismatch(self, tmp_path):
+        # a loaded adapter's tensors must have the shapes its rank gives
+        base = ex.new_expert(ENC, 0)
+        model = ex.lora_inject(base, ex.LoraConfig(2, 8.0, 0.0), seed=1)
+        model.lora = ex.LoraConfig(3, 8.0, 0.0)
+        ex.save_adapter_checkpoint(model, tmp_path / "adapter.json")
+        with pytest.raises(ex.CheckpointError, match="disagree with rank 3"):
+            ex.load_adapter_checkpoint(tmp_path / "adapter.json", base)
 
     def test_two_path_equals_merged_forward(self):
+        """The two-path forward x@W0 + scale * (x@A)@B equals the forward of
+        a copy without adapters whose weights fold the adapters in."""
         rng = np.random.default_rng(7)
         for _ in range(100):
-            m, r, n, t = rng.integers(2, 12, size=4)
-            w0 = rng.standard_normal((m, n))
-            a = rng.normal(0, 0.02, (m, r))
-            b = rng.standard_normal((r, n))
-            adapter = ex.LoraAdapter(a, b, int(r), float(rng.uniform(1, 32)), 0.0)
-            x = rng.standard_normal((t, m))
-            merged = tc.matmul_values(x, ex.lora_merged_weight(w0, adapter))
-            two_path = tc.matmul_values(x, w0) + adapter.scale * tc.matmul_values(
-                tc.matmul_values(x, a), b
-            )
-            assert np.max(np.abs(merged - two_path)) < 1e-10
+            dims = tuple(int(d) for d in rng.integers(3, 12, size=int(rng.integers(2, 5))))
+            model = random_adapted(rng, dims, int(rng.integers(1, 6)), float(rng.uniform(1, 32)))
+            feats = rng.standard_normal((int(rng.integers(1, 8)), dims[0]))
+            merged = encode(fold_adapters(model), feats)
+            assert np.max(np.abs(encode(model, feats) - merged)) < 1e-10
 
 
 class TestLoraInject:
     def test_identity_at_init_bitwise(self):
         base = ex.new_expert(ENC, seed=3)
-        injected = ex.lora_inject(base, rank=4, alpha=16.0, dropout_p=0.1, seed=4)
+        injected = ex.lora_inject(base, ex.LoraConfig(4, 16.0, 0.1), seed=4)
         for seed in range(5):
             feats = ex.frame_features(random_clip(seed), ENC)
             for got, want in zip(infer(injected, [feats]), infer(base, [feats])):
@@ -132,7 +144,7 @@ class TestLoraInject:
             frame_len = int(rng.integers(8, 200))
             rank = int(rng.integers(1, 8))
             cfg = ex.EncoderConfig(frame_len=frame_len, hop=frame_len, hidden_dims=dims)
-            injected = ex.lora_inject(ex.new_expert(cfg, 0), rank, 8.0, 0.0, seed=1)
+            injected = ex.lora_inject(ex.new_expert(cfg, 0), ex.LoraConfig(rank, 8.0, 0.0), seed=1)
             counts = ex.count_trainable(injected)
             chain = (frame_len, *dims)
             formula = sum(rank * (m + n) for m, n in zip(chain[:-1], chain[1:]))
@@ -144,16 +156,16 @@ class TestLoraInject:
             assert counts["trainable"] == formula == brute
 
     def test_default_architecture_counts(self):
-        injected = ex.lora_inject(ex.new_expert(ENC, 0), rank=4, alpha=16.0, dropout_p=0.1, seed=1)
+        injected = ex.lora_inject(ex.new_expert(ENC, 0), ex.LoraConfig(4, 16.0, 0.1), seed=1)
         counts = ex.count_trainable(injected)
         assert counts["trainable"] == 1920
         assert counts["total"] == 18624
         assert round(counts["percent"], 2) == 10.31
 
     def test_double_injection_rejected(self):
-        injected = ex.lora_inject(ex.new_expert(ENC, 0), 4, 16.0, 0.1, seed=1)
+        injected = ex.lora_inject(ex.new_expert(ENC, 0), ex.LoraConfig(4, 16.0, 0.1), seed=1)
         with pytest.raises(ex.ExpertError):
-            ex.lora_inject(injected, 4, 16.0, 0.1, seed=2)
+            ex.lora_inject(injected, ex.LoraConfig(4, 16.0, 0.1), seed=2)
 
     def test_frozen_everything_counts_zero(self):
         model = ex.new_expert(ENC, 0)
@@ -168,7 +180,8 @@ class TestForwardGradients:
     def test_graph_forward_matches_plain_bitwise(self):
         """Inference on constant leaves keeps no graph and gives bitwise the
         values of the graph whose leaves train."""
-        model = with_live_head(ex.lora_inject(ex.new_expert(ENC, 5), 4, 16.0, 0.1, seed=6), 0)
+        injected = ex.lora_inject(ex.new_expert(ENC, 5), ex.LoraConfig(4, 16.0, 0.1), seed=6)
+        model = with_live_head(injected, 0)
         feats = [ex.frame_features(random_clip(9 + i, s), ENC) for i, s in enumerate((1.0, 0.3))]
         frames = tc.row_segments(f.shape[0] for f in feats)
         plain = ex.constant_leaves(model)
@@ -186,14 +199,14 @@ class TestForwardGradients:
 
     def test_expert_loss_matches_finite_differences(self):
         cfg = ex.EncoderConfig(frame_len=12, hop=12, hidden_dims=(6, 6))
-        model = ex.lora_inject(ex.new_expert(cfg, 1), rank=2, alpha=4.0, dropout_p=0.0, seed=2)
+        model = ex.lora_inject(ex.new_expert(cfg, 1), ex.LoraConfig(2, 4.0, 0.0), seed=2)
         rng = np.random.default_rng(3)
         for i in range(model.n_layers):
             model.tensors[f"lora.b{i}"] = rng.normal(0, 0.2, model.tensors[f"lora.b{i}"].shape)
         feats = rng.standard_normal((5, 12)) * 0.4
 
         def loss_value(tensors):
-            probe = ex.ExpertModel(cfg, tensors, model.frozen, model.lora_meta)
+            probe = ex.ExpertModel(cfg, tensors, model.frozen, model.lora)
             leaves = ex.make_leaves(probe)
             return float(ex.loss_nodes(probe, leaves, [feats], ["spoof"]).value[0, 0])
 
@@ -206,7 +219,7 @@ class TestForwardGradients:
             assert relative_error(leaves[name].grad, fd[name]) < 1e-4, name
 
     def test_cached_layer0_graph_is_bitwise_the_product_graph(self):
-        model = ex.lora_inject(ex.new_expert(ENC, 3), 4, 16.0, 0.1, seed=4)
+        model = ex.lora_inject(ex.new_expert(ENC, 3), ex.LoraConfig(4, 16.0, 0.1), seed=4)
         rng = np.random.default_rng(5)
         for name in ("lora.b0", "lora.b1", "lora.b2", "head.w"):
             model.tensors[name] = rng.normal(0, 0.1, model.tensors[name].shape)
@@ -298,13 +311,13 @@ class TestBatchedLoss:
 
     def test_ase_with_dropout_and_cached_layer0(self):
         base = with_live_head(ex.new_expert(ENC, 22), 23)
-        model = with_live_head(ex.lora_inject(base, 4, 16.0, 0.1, seed=24), 25)
+        model = with_live_head(ex.lora_inject(base, ex.LoraConfig(4, 16.0, 0.1), seed=24), 25)
         self.assert_matches_per_clip(model, self.clips([0.5] * 4), self.LABELS,
                                      dropout=True, cached=True)
 
     def test_batch_of_one(self):
         base = with_live_head(ex.new_expert(ENC, 26), 27)
-        model = with_live_head(ex.lora_inject(base, 4, 16.0, 0.1, seed=28), 29)
+        model = with_live_head(ex.lora_inject(base, ex.LoraConfig(4, 16.0, 0.1), seed=28), 29)
         self.assert_matches_per_clip(model, self.clips([0.5]), ["spoof"], dropout=True, cached=True)
         self.assert_matches_per_clip(base, self.clips([0.5]), ["bonafide"])
 
@@ -312,7 +325,7 @@ class TestBatchedLoss:
         seconds = [0.3, 0.75, 0.02, 0.5]  # 30, 75, 2 and 50 frames
         e0 = with_live_head(ex.new_expert(ENC, 30), 31)
         self.assert_matches_per_clip(e0, self.clips(seconds), self.LABELS)
-        ase = with_live_head(ex.lora_inject(e0, 4, 16.0, 0.2, seed=32), 33)
+        ase = with_live_head(ex.lora_inject(e0, ex.LoraConfig(4, 16.0, 0.2), seed=32), 33)
         self.assert_matches_per_clip(ase, self.clips(seconds), self.LABELS,
                                      dropout=True, cached=True)
 
@@ -339,7 +352,7 @@ class TestFitAgainstPerClipTrainer:
 
         hyper = ex.TrainHyper(lr=0.05, batch_size=4, max_epochs=4, plateau_epochs=1)
         best, history = trainer(work, clips, labels, loss_fn(work), epoch_eer, hyper, 41)
-        trained = ex.ExpertModel(work.cfg, best, work.frozen, work.lora_meta)
+        trained = ex.ExpertModel(work.cfg, best, work.frozen, work.lora)
         path = tmp_path / name
         if trained.has_adapters:
             ex.save_adapter_checkpoint(trained, path)
@@ -351,7 +364,7 @@ class TestFitAgainstPerClipTrainer:
     def test_checkpoints_equal_per_clip_trainer(self, adapted, tmp_path):
         model = with_live_head(ex.new_expert(self.CFG, 42), 43)
         if adapted:
-            model = with_live_head(ex.lora_inject(model, 2, 8.0, 0.2, seed=44), 45)
+            model = with_live_head(ex.lora_inject(model, ex.LoraConfig(2, 8.0, 0.2), seed=44), 45)
 
         def batched(work):
             def batch_loss(leaves, clips, labels, rngs):
@@ -379,7 +392,7 @@ def adapted_bank(base, ranks, seed):
     rng = np.random.default_rng(seed)
     bank = [base]
     for i, rank in enumerate(ranks):
-        ase = ex.lora_inject(base, rank, 16.0, 0.1, seed=seed + 1 + i)
+        ase = ex.lora_inject(base, ex.LoraConfig(rank, 16.0, 0.1), seed=seed + 1 + i)
         for layer in range(ase.n_layers):
             shape = ase.tensors[f"lora.b{layer}"].shape
             ase.tensors[f"lora.b{layer}"] = rng.normal(0.0, 0.1, shape)
@@ -532,7 +545,7 @@ class TestTraining:
         base_enc = ex.encoder_checksum(base)
         ase, _ = ex.train_ase(
             base, "T0", manifest.split("train"), manifest.split("dev"), root,
-            rank=2, alpha=8.0, dropout_p=0.1, hyper=hyper, seed=100,
+            ex.LoraConfig(2, 8.0, 0.1), hyper=hyper, seed=100,
         )
         assert ex.encoder_checksum(ase) == base_enc
         assert any(np.any(ase.tensors[f"lora.b{i}"] != 0.0) for i in range(ase.n_layers))
@@ -540,7 +553,7 @@ class TestTraining:
     def test_frozen_drift_is_hard_failure(self, tiny_corpus, monkeypatch):
         manifest, root = tiny_corpus
         base = ex.new_expert(ENC, 7)
-        injected = ex.lora_inject(base, 2, 8.0, 0.0, seed=8)
+        injected = ex.lora_inject(base, ex.LoraConfig(2, 8.0, 0.0), seed=8)
 
         real_make_leaves = ex.make_leaves
 
@@ -575,7 +588,7 @@ class TestTraining:
 class TestCheckpoints:
     def test_adapter_checkpoint_small_and_binding(self, tmp_path):
         base = ex.new_expert(ENC, 12)
-        injected = ex.lora_inject(base, rank=4, alpha=16.0, dropout_p=0.1, seed=13)
+        injected = ex.lora_inject(base, ex.LoraConfig(4, 16.0, 0.1), seed=13)
         full_path = tmp_path / "full.json"
         adapter_path = tmp_path / "adapter.json"
         ex.save_expert_checkpoint(injected, full_path)
@@ -590,7 +603,7 @@ class TestCheckpoints:
 
     def test_adapter_binding_mismatch_fails(self, tmp_path):
         base = ex.new_expert(ENC, 14)
-        injected = ex.lora_inject(base, 4, 16.0, 0.1, seed=15)
+        injected = ex.lora_inject(base, ex.LoraConfig(4, 16.0, 0.1), seed=15)
         path = tmp_path / "adapter.json"
         ex.save_adapter_checkpoint(injected, path)
         other = ex.new_expert(ENC, 999)
@@ -611,7 +624,7 @@ class TestCheckpoints:
         a changed value, a reformatted copy that keeps the stored checksum and
         a missing final newline are all rejected."""
         base = ex.new_expert(ENC, 18)
-        injected = ex.lora_inject(base, 2, 8.0, 0.0, seed=19)
+        injected = ex.lora_inject(base, ex.LoraConfig(2, 8.0, 0.0), seed=19)
         for save, load in (
             (ex.save_expert_checkpoint, ex.load_expert_checkpoint),
             (ex.save_adapter_checkpoint, lambda path: ex.load_adapter_checkpoint(path, base)),
@@ -628,6 +641,18 @@ class TestCheckpoints:
                 path.write_text(bad)
                 with pytest.raises(ex.CheckpointError, match="checksum"):
                     load(path)
+
+    def test_lora_member_keeps_its_keys_and_number_types(self, tmp_path):
+        base = ex.new_expert(ENC, 20)
+        injected = ex.lora_inject(base, ex.LoraConfig(2, 8, 0), seed=21)
+        member = '"lora":{"alpha":8.0,"dropout_p":0.0,"rank":2,"scale_mode":"alpha_over_r"}'
+        for save in (ex.save_expert_checkpoint, ex.save_adapter_checkpoint):
+            save(injected, tmp_path / "ckpt.json")
+            assert member in (tmp_path / "ckpt.json").read_text()
+        restored, _ = ex.load_adapter_checkpoint(tmp_path / "ckpt.json", base)
+        assert restored.lora == ex.LoraConfig(2, 8.0, 0.0)
+        ex.save_expert_checkpoint(base, tmp_path / "e0.json")
+        assert '"lora":null' in (tmp_path / "e0.json").read_text()
 
     def test_adapter_requires_adapters(self, tmp_path):
         with pytest.raises(ex.CheckpointError):

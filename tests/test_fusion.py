@@ -26,7 +26,7 @@ def make_bank(n_specialists=5, seed=0):
     base = ex.new_expert(ENC, seed)
     bank = [base]
     for i in range(n_specialists):
-        ase = ex.lora_inject(base, rank=2, alpha=8.0, dropout_p=0.0, seed=seed + 10 + i)
+        ase = ex.lora_inject(base, ex.LoraConfig(2, 8.0, 0.0), seed=seed + 10 + i)
         rng = np.random.default_rng(seed + 100 + i)
         for layer in range(ase.n_layers):
             ase.tensors[f"lora.b{layer}"] = rng.normal(0, 0.2, ase.tensors[f"lora.b{layer}"].shape)
@@ -435,7 +435,7 @@ class TestTrainFusion:
 class TestFusionCheckpoint:
     def test_round_trip_with_bindings(self, tmp_path, monkeypatch):
         base = ex.new_expert(ENC, 30)
-        ase = ex.lora_inject(base, 2, 8.0, 0.0, seed=31)
+        ase = ex.lora_inject(base, ex.LoraConfig(2, 8.0, 0.0), seed=31)
         rng = np.random.default_rng(32)
         for layer in range(ase.n_layers):
             ase.tensors[f"lora.b{layer}"] = rng.normal(0, 0.1, ase.tensors[f"lora.b{layer}"].shape)
@@ -462,7 +462,7 @@ class TestFusionCheckpoint:
 
     def test_every_format_is_canonical_json(self, tmp_path):
         base = ex.new_expert(ENC, 37)
-        ase = ex.lora_inject(base, 2, 8.0, 0.1, seed=38)
+        ase = ex.lora_inject(base, ex.LoraConfig(2, 8.0, 0.1), seed=38)
         written = {
             "e0.json": ex.save_expert_checkpoint(base, tmp_path / "e0.json"),
             "ase.json": ex.save_adapter_checkpoint(ase, tmp_path / "ase.json"),
@@ -482,7 +482,7 @@ class TestFusionCheckpoint:
 
     def test_binding_mismatch_detected(self, tmp_path):
         base = ex.new_expert(ENC, 34)
-        ase = ex.lora_inject(base, 2, 8.0, 0.0, seed=35)
+        ase = ex.lora_inject(base, ex.LoraConfig(2, 8.0, 0.0), seed=35)
         base_ref = ex.save_expert_checkpoint(base, tmp_path / "e0.json")
         ase_ref = ex.save_adapter_checkpoint(ase, tmp_path / "ase.json")
         system = fu.FusionSystem([base, ase], k=1, seed=36)

@@ -142,12 +142,13 @@ class TestReport:
 
 class TestParamRatio:
     def test_model_ratios(self):
-        from amulet.experts import EncoderConfig, count_trainable, lora_inject, new_expert
+        from amulet.experts import (EncoderConfig, LoraConfig, count_trainable, lora_inject,
+                                    new_expert)
 
         cfg = EncoderConfig()
         fft = count_trainable(new_expert(cfg, seed=0))
         ase = count_trainable(
-            lora_inject(new_expert(cfg, seed=0), rank=4, alpha=16.0, dropout_p=0.1, seed=1)
+            lora_inject(new_expert(cfg, seed=0), LoraConfig(4, 16.0, 0.1), seed=1)
         )
         assert (ase["trainable"], fft["trainable"]) == (1920, 18624)
         assert ase["total"] == fft["total"] == 18624
