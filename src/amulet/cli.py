@@ -411,7 +411,9 @@ class Pipeline:
     def _load_bank(self) -> tuple:
         """Parse and verify each expert checkpoint once. Returns the bank
         [E0, E1..En] in roster order and, parallel to it, each checkpoint's
-        (path relative to the root, content checksum)."""
+        (path relative to the root, content checksum), which a fusion
+        checkpoint must list exactly. Only the stages that run the bank,
+        `train-fusion` and `evaluate`, load it."""
         paths = [self.load_expert("e0")]
         for expert_id in self.cfg.expert_ids:
             path = self.ckpt_path(f"ase_{self.cfg.roster[expert_id]}")
@@ -517,19 +519,6 @@ class Pipeline:
 
     # --- evaluation ------------------------------------------------------------
 
-    def _systems(self):
-        """The expert bank and the fused systems bound to it, with every
-        checkpoint parsed once."""
-        bank, refs = self._load_bank()
-        loaded = {path: (model, checksum) for (path, checksum), model in zip(refs, bank)}
-        fused = {}
-        for k in self.cfg.k_values:
-            path = self.ckpt_path(f"fusion_top{k}")
-            if not os.path.exists(path):
-                raise MissingArtifactError(f"{path} not found; run `amulet train-fusion` first")
-            fused[f"fused_top{k}"] = fusion.load_fusion_checkpoint(path, self.root, loaded)
-        return bank, fused
-
     def system_names(self) -> list:
         return (
             ["E0"] + self.cfg.expert_ids + ["ensemble"]
@@ -547,7 +536,13 @@ class Pipeline:
                    + [self.manifest_path(c) for c in conditions])
 
         def fn():
-            bank, fused = self._systems()
+            bank, refs = self._load_bank()
+            fused = {}
+            for k in self.cfg.k_values:
+                path = self.ckpt_path(f"fusion_top{k}")
+                if not os.path.exists(path):
+                    raise MissingArtifactError(f"{path} not found; run `amulet train-fusion` first")
+                fused[f"fused_top{k}"] = fusion.load_fusion_checkpoint(path, bank, refs)
             thunks = [lambda c=c: self._score_condition(bank, fused, c) for c in conditions]
             results = list(self._map(thunks))
             os.makedirs(self._path("scores"), exist_ok=True)
@@ -586,15 +581,6 @@ class Pipeline:
 
     # --- reporting ---------------------------------------------------------------
 
-    def _trainable_params(self, bank, fused) -> dict:
-        params = {"E0": ex.count_trainable(bank[0])["trainable"]}
-        for expert_id, model in zip(self.cfg.expert_ids, bank[1:]):
-            params[expert_id] = ex.count_trainable(model)["trainable"]
-        params["ensemble"] = 0  # no additional training
-        for name, system in fused.items():
-            params[name] = sum(v.size for v in system.params.values())
-        return params
-
     def report(self) -> None:
         reports_dir = self.root / "reports"
         outputs = [
@@ -606,8 +592,16 @@ class Pipeline:
 
         def fn():
             reports_dir.mkdir(parents=True, exist_ok=True)
-            bank, fused = self._systems()
-            tp = self._trainable_params(bank, fused)
+            # the config fixes every shape: count on fresh models, not checkpoints
+            shared = ex.new_expert(self.cfg.encoder, 0)
+            adapted = ex.count_trainable(ex.lora_inject(shared, self.cfg.lora, 0))
+            rows = [("E0", ex.count_trainable(shared))]
+            rows += [(expert_id, adapted) for expert_id in self.cfg.expert_ids]
+            head = fusion.init_fusion_params(self.cfg.encoder.output_dim, len(self.cfg.roster), 0)
+            tp = {name: counts["trainable"] for name, counts in rows}
+            tp["ensemble"] = 0  # no additional training
+            for k in self.cfg.k_values:
+                tp[f"fused_top{k}"] = sum(v.size for v in head.values())
             for title, conditions, stem in (
                 ("single-attack EER (%)", self.cfg.single_conditions, "single_attack_eer"),
                 ("mixed-attack EER (%)", list(self.cfg.mixed), "mixed_attack_eer"),
@@ -626,17 +620,15 @@ class Pipeline:
                 (reports_dir / f"{stem}.txt").write_text(
                     metrics.render_report_text(report, title)
                 )
-            self._write_param_report(reports_dir, bank)
+            self._write_param_report(reports_dir, rows)
             self._write_checksums()
 
         self.run_stage("report", watched, fn)
 
-    def _write_param_report(self, reports_dir: Path, bank) -> None:
-        shared = ex.count_trainable(bank[0])
+    def _write_param_report(self, reports_dir: Path, rows) -> None:
+        """`rows` are (system, `count_trainable`) of E0 and each expert."""
+        shared = rows[0][1]
         lines = ["system,trainable_params,total_params,percent"]
-        rows = [("E0", shared)]
-        for expert_id, model in zip(self.cfg.expert_ids, bank[1:]):
-            rows.append((expert_id, ex.count_trainable(model)))
         for name, counts in rows:
             lines.append(
                 f"{name},{counts['trainable']},{counts['total']},{counts['percent']!r}"

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -83,34 +83,15 @@ class ManifestEntry:
     split: str
     condition: str
     seed: int
-    path: str | None = None
-    synth: dict | None = None
+    path: str  # of the WAV, relative to the output root
 
     def to_dict(self) -> dict:
-        out = {
-            "clip_id": self.clip_id,
-            "label": self.label,
-            "split": self.split,
-            "condition": self.condition,
-            "seed": self.seed,
-        }
-        if self.path is not None:
-            out["path"] = self.path
-        if self.synth is not None:
-            out["synth"] = self.synth
-        return out
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ManifestEntry":
-        return cls(
-            clip_id=data["clip_id"],
-            label=data["label"],
-            split=data["split"],
-            condition=data["condition"],
-            seed=data["seed"],
-            path=data.get("path"),
-            synth=data.get("synth"),
-        )
+        return cls(data["clip_id"], data["label"], data["split"], data["condition"],
+                   data["seed"], data["path"])
 
 
 @dataclass
@@ -229,23 +210,13 @@ def _audio_rel_path(condition: str, clip_id: str) -> str:
 
 
 def resolve_clip(entry: ManifestEntry, root) -> AudioClip:
-    """Load an entry's audio from disk, or synthesize it from its recipe."""
-    if entry.path is not None:
-        clip = read_wav(Path(root) / entry.path, clip_id=entry.clip_id, label=entry.label)
-        return clip
-    if entry.synth is not None:
-        cfg = SynthConfig(**entry.synth)
-        clip = synth_clip(entry.label, entry.seed, cfg)
-        return AudioClip(clip.samples, clip.sample_rate, entry.clip_id, entry.label)
-    raise ManifestError(f"{entry.clip_id}: entry has neither a path nor a synth recipe")
+    """Load an entry's audio from disk."""
+    return read_wav(Path(root) / entry.path, clip_id=entry.clip_id, label=entry.label)
 
 
 def clip_length(entry: ManifestEntry, root) -> int:
-    """The sample count of an entry's audio: from the WAV header alone when
-    it is on disk, otherwise from the synthesized clip."""
-    if entry.path is not None:
-        return wav_length(Path(root) / entry.path)
-    return len(resolve_clip(entry, root))
+    """The sample count of an entry's audio, from its WAV header alone."""
+    return wav_length(Path(root) / entry.path)
 
 
 def build_corpus(cfg: SynthConfig, out_dir, seed: int, condition: str = "T0") -> Manifest:
@@ -312,7 +283,6 @@ def sample_fusion_subset(manifests, fraction: float, seed: int) -> Manifest:
                     condition,
                     src.seed,
                     path=src.path,
-                    synth=src.synth,
                 )
             )
     return Manifest(entries)

@@ -65,6 +65,11 @@ class EncoderConfig:
         self.hidden_dims = tuple(int(d) for d in self.hidden_dims)
         if self.frame_len < 2 or self.hop < 1 or any(d < 2 for d in self.hidden_dims):
             raise ExpertError("encoder dims must be >= 2 and hop >= 1")
+        if not self.hidden_dims:
+            raise ExpertError("hidden_dims must name at least one layer")
+        if self.output_dim % 2:
+            raise ExpertError(f"the last of hidden_dims must be even, got {self.output_dim}: "
+                              f"the expert head pairs quadrature columns")
 
     @property
     def output_dim(self) -> int:

@@ -9,13 +9,19 @@ projected, and classified, all in the one graph `fused_logits` that training
 and inference share. Only gate/LN/pool/classifier parameters train; the
 expert bank is checksum-frozen.
 
+A fused head is meaningful only over the bank it was trained on. Its
+checkpoint lists that bank's expert checkpoints by relative path and content
+checksum, and `load_fusion_checkpoint` binds it to a bank the caller has
+already loaded, refusing any bank that differs in a path, its order or a
+checksum.
+
 Gate scores are softmaxed over all specialists and not renormalized after
 selection (the shared features anchor the scale); `renormalize=True` is
 available for ablation.
 """
 from __future__ import annotations
 
-from pathlib import Path
+from itertools import zip_longest
 
 import numpy as np
 
@@ -35,8 +41,6 @@ from .experts import (
     fit,
     frame_features,
     full_checksum,
-    load_adapter_checkpoint,
-    load_expert_checkpoint,
 )
 
 LN_EPS = 1e-5
@@ -208,32 +212,24 @@ def save_fusion_checkpoint(system: FusionSystem, path, expert_refs) -> str:
     return _write_payload(payload, path)
 
 
-def load_fusion_checkpoint(path, root, bank=None) -> FusionSystem:
-    """Rebuild a fusion system on the expert checkpoints it was trained over.
-
-    `bank` maps checkpoint paths relative to `root`, as the fusion checkpoint
-    lists them, to (model, verified content checksum) for experts already
-    loaded; every other listed expert is parsed here, once. A listed checksum
-    that differs from the loaded one breaks the binding.
-    """
+def load_fusion_checkpoint(path, bank, refs) -> FusionSystem:
+    """The fused head of `path` over `bank`, the loaded expert bank [E0,
+    E1..En] whose checkpoints `refs` lists as (path relative to the output
+    root, content checksum). A head means something only over the bank it
+    was trained on, so the experts it lists must be `refs` exactly: the same
+    paths, in the same order, with the same checksums."""
     payload = _read_payload(path, "fusion-checkpoint")
-    refs = payload["experts"]
-    if not refs:
-        raise CheckpointError(f"{path}: fusion checkpoint lists no experts")
-    loaded = dict(bank or {})
-    experts = []
-    for ref in refs:
-        if ref["path"] not in loaded:
-            ckpt_path = Path(root) / ref["path"]
-            loaded[ref["path"]] = (
-                load_adapter_checkpoint(ckpt_path, experts[0]) if experts
-                else load_expert_checkpoint(ckpt_path)
-            )
-        model, checksum = loaded[ref["path"]]
-        if checksum != ref["checksum"]:
+    bound = [(ref["path"], ref["checksum"]) for ref in payload["experts"]]
+    for i, (trained, loaded) in enumerate(zip_longest(bound, refs)):
+        if trained != loaded:
             raise CheckpointError(
-                f"{Path(root) / ref['path']}: checksum does not match the fusion binding"
+                f"{path}: expert {i} breaks the fusion binding: the head was trained "
+                f"over {_describe_ref(trained)}, the loaded bank has "
+                f"{_describe_ref(loaded)}; run `amulet train-fusion`"
             )
-        experts.append(model)
     params = _tensors_from_payload(payload["tensors"])
-    return FusionSystem(experts, payload["k"], params, payload["renormalize"])
+    return FusionSystem(bank, payload["k"], params, payload["renormalize"])
+
+
+def _describe_ref(ref) -> str:
+    return "no expert" if ref is None else f"{ref[0]} (checksum {ref[1][:12]})"

@@ -76,6 +76,7 @@ class TestCriterion2LoraAlgebra:
             # an adapted encoder with random nonzero adapters against a copy
             # without adapters whose weights fold them in
             dims = tuple(int(d) for d in rng.integers(3, 16, size=int(rng.integers(2, 5))))
+            dims = (*dims[:-1], dims[-1] + dims[-1] % 2)  # the head pairs the last width
             cfg = ex.EncoderConfig(frame_len=dims[0], hop=dims[0], hidden_dims=dims[1:])
             lora = ex.LoraConfig(int(rng.integers(1, 9)), float(rng.uniform(1, 64)), 0.0)
             model = ex.lora_inject(ex.new_expert(cfg, int(rng.integers(1 << 30))), lora, seed=1)
@@ -92,6 +93,7 @@ class TestCriterion2LoraAlgebra:
 
         for _ in range(20):
             dims = tuple(int(d) for d in rng.integers(2, 48, size=int(rng.integers(1, 4))))
+            dims = (*dims[:-1], dims[-1] + dims[-1] % 2)  # the head pairs the last width
             frame_len = int(rng.integers(8, 256))
             rank = int(rng.integers(1, 9))
             cfg = ex.EncoderConfig(frame_len=frame_len, hop=frame_len, hidden_dims=dims)

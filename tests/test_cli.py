@@ -182,6 +182,9 @@ class TestValidateConfig:
         ({"fusion_train": {"lr": 0}}, "fusion_train: lr, batch_size, and max_epochs must be"),
         ({"synth": {"n_dev": 0}}, "synth: n_dev must be positive"),
         ({"encoder": {"hop": 0}}, "encoder: encoder dims must be >= 2 and hop >= 1"),
+        ({"encoder": {"hidden_dims": []}}, "encoder: hidden_dims must name at least one layer"),
+        ({"encoder": {"hidden_dims": [64, 64, 63]}},
+         "encoder: the last of hidden_dims must be even"),
     ])
     def test_range_error_names_its_group(self, raw, message):
         _, errors = resolve_config(raw)
@@ -324,10 +327,11 @@ class TestBankLoading:
             "fusion_top3", "fusion_top4", "fusion_top5",
         )}
         out = copy_root(trained_bank, tmp_path)
-        for stage in ("evaluate", "report"):
+        # report counts parameters from the config, which fixes every shape
+        for stage, expected in (("evaluate", once), ("report", {})):
             parsed.clear()
             assert cli.main(["--config", trained_bank[0], "--out", str(out), stage]) == 0
-            assert dict(parsed) == once, stage
+            assert dict(parsed) == expected, stage
 
     def test_e0_parsed_once_per_train_ase_call(self, trained_bank, tmp_path, monkeypatch):
         parsed = Counter()
@@ -373,19 +377,36 @@ class TestBankLoading:
             "error: duplicate cell for ('E0', 'T0')",
         ]
 
-    def test_rewritten_adapter_breaks_fusion_binding(self, trained_bank, tmp_path, capsys):
-        ckpts = copy_root(trained_bank, tmp_path) / "checkpoints"
-        base, _ = ex.load_expert_checkpoint(ckpts / "e0.json")
-        ase, _ = ex.load_adapter_checkpoint(ckpts / "ase_T1.json", base)
-        ase.tensors["lora.b0"] = ase.tensors["lora.b0"] + 0.5
-        ex.save_adapter_checkpoint(ase, ckpts / "ase_T1.json")
-        # the rewritten file loads on its own: only the fusion binding can tell
-        ex.load_adapter_checkpoint(ckpts / "ase_T1.json", base)
+    @pytest.mark.parametrize("change", ["adapter", "roster"])
+    def test_rewritten_adapter_breaks_fusion_binding(self, trained_bank, tmp_path, capsys,
+                                                     change):
+        out = copy_root(trained_bank, tmp_path)
+        ckpts = out / "checkpoints"
+        config = trained_bank[0]
+        if change == "adapter":
+            base, _ = ex.load_expert_checkpoint(ckpts / "e0.json")
+            ase, _ = ex.load_adapter_checkpoint(ckpts / "ase_T1.json", base)
+            ase.tensors["lora.b0"] = ase.tensors["lora.b0"] + 0.5
+            ex.save_adapter_checkpoint(ase, ckpts / "ase_T1.json")
+            # the rewritten file loads on its own: only the fusion binding can tell
+            ex.load_adapter_checkpoint(ckpts / "ase_T1.json", base)
+            stale = "ase_T1.json"
+        else:
+            # E2 moves from T2 to T6 and its expert is trained, but the heads
+            # are not: they were trained over ase_T2.json, which is still there
+            raw = json.loads(Path(config).read_text())
+            raw["roster"]["E2"] = "T6"
+            config = write_config(tmp_path, raw)
+            for stage in ("attack", "train-ase"):
+                args = ["--config", config, "--out", str(out), stage, "--condition", "T6"]
+                assert cli.main(args) == 0, stage
+            stale = "ase_T2.json"
         capsys.readouterr()
-        out = str(ckpts.parent)
-        assert cli.main(["--config", trained_bank[0], "--out", out, "evaluate"]) == 2
-        err = capsys.readouterr().err
-        assert "ase_T1.json" in err and "fusion binding" in err
+        assert cli.main(["--config", config, "--out", str(out), "evaluate"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "fusion binding" in err[0], err
+        assert "fusion_top3.json" in err[0] and stale in err[0]
+        assert not (out / "scores").exists()
 
 
 def counting_hashes(monkeypatch) -> Counter:

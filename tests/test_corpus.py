@@ -1,5 +1,4 @@
 import json
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -239,11 +238,4 @@ class TestManifestInvariants:
 
     def test_unlabeled_rejected(self):
         with pytest.raises(cp.ManifestError):
-            cp.Manifest([cp.ManifestEntry("x", "unlabeled", "train", "T0", 1)])
-
-    def test_synth_recipe_resolves(self):
-        entry = cp.ManifestEntry("x", "spoof", "train", "T0", 123, synth=asdict(TINY))
-        clip = cp.resolve_clip(entry, ".")
-        direct = cp.synth_clip("spoof", 123, TINY)
-        assert np.array_equal(clip.samples, direct.samples)
-        assert clip.clip_id == "x"
+            cp.Manifest([cp.ManifestEntry("x", "unlabeled", "train", "T0", 1, path="p.wav")])

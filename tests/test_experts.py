@@ -122,6 +122,7 @@ class TestLoraAlgebra:
         rng = np.random.default_rng(7)
         for _ in range(100):
             dims = tuple(int(d) for d in rng.integers(3, 12, size=int(rng.integers(2, 5))))
+            dims = (*dims[:-1], dims[-1] + dims[-1] % 2)  # the head pairs the last width
             model = random_adapted(rng, dims, int(rng.integers(1, 6)), float(rng.uniform(1, 32)))
             feats = rng.standard_normal((int(rng.integers(1, 8)), dims[0]))
             merged = encode(fold_adapters(model), feats)
@@ -141,6 +142,7 @@ class TestLoraInject:
         rng = np.random.default_rng(11)
         for _ in range(20):
             dims = tuple(int(d) for d in rng.integers(2, 40, size=int(rng.integers(1, 4))))
+            dims = (*dims[:-1], dims[-1] + dims[-1] % 2)  # the head pairs the last width
             frame_len = int(rng.integers(8, 200))
             rank = int(rng.integers(1, 8))
             cfg = ex.EncoderConfig(frame_len=frame_len, hop=frame_len, hidden_dims=dims)

@@ -1,6 +1,5 @@
 import hashlib
 import json
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +9,7 @@ from amulet import corpus as cp
 from amulet import experts as ex
 from amulet import fusion as fu
 from amulet import tensor as tc
+from amulet.audio import write_wav
 
 from oracles import (
     finite_difference_grads,
@@ -34,16 +34,16 @@ def make_bank(n_specialists=5, seed=0):
     return bank
 
 
-def synth_entries(n=8, condition="T0"):
+def synth_entries(root, n=8, condition="T0"):
+    """Entries of `n` synthesized clips per class, their WAVs written in `root`."""
     entries = []
     for i in range(n):
         for label in ("bonafide", "spoof"):
-            entries.append(
-                cp.ManifestEntry(
-                    f"{condition}_{label}_{i}", label, "train", condition,
-                    cp.stable_seed(condition, label, i), synth=asdict(SYNTH),
-                )
-            )
+            clip_id = f"{condition}_{label}_{i}"
+            seed = cp.stable_seed(condition, label, i)
+            write_wav(root / f"{clip_id}.wav", cp.synth_clip(label, seed, SYNTH))
+            entries.append(cp.ManifestEntry(clip_id, label, "train", condition, seed,
+                                            path=f"{clip_id}.wav"))
     return entries
 
 
@@ -51,11 +51,13 @@ def bank_leaves(system):
     return [ex.constant_leaves(e) for e in system.experts]
 
 
-def feature_set(system, entries):
-    """(features, labels) of synthesized entries, as `train_fusion` takes them."""
+def feature_set(system, entries, root):
+    """(features, labels) of the entries' clips under `root`, as
+    `train_fusion` takes them."""
     z_alls = []
     for entry in entries:
-        zs, _ = fu.expert_features(system.experts, bank_leaves(system), [cp.resolve_clip(entry, ".")])
+        zs, _ = fu.expert_features(system.experts, bank_leaves(system),
+                                   [cp.resolve_clip(entry, root)])
         z_alls.append([z.value for z in zs])
     return z_alls, [e.label for e in entries]
 
@@ -332,11 +334,11 @@ class TestPredict:
 
 
 class TestTrainFusion:
-    def test_frozen_bank_and_learning(self):
+    def test_frozen_bank_and_learning(self, tmp_path):
         system = fu.FusionSystem(make_bank(), k=3, seed=17)
         before = [ex.full_checksum(e) for e in system.experts]
-        subset = feature_set(system, synth_entries(6, "T0"))
-        dev = feature_set(system, synth_entries(4, "dev0"))
+        subset = feature_set(system, synth_entries(tmp_path, 6, "T0"), tmp_path)
+        dev = feature_set(system, synth_entries(tmp_path, 4, "dev0"), tmp_path)
         hyper = ex.TrainHyper(max_epochs=3)
         history = fu.train_fusion(system, subset, dev, hyper, seed=18)
         assert len(history) >= 1
@@ -409,7 +411,7 @@ class TestTrainFusion:
             assert np.any(node.grad != 0) or (k == 1 and renormalize and "gate" in name), name
             assert np.array_equal(batched[name].grad, node.grad), name
 
-    def test_expert_order_permutation_with_full_selection(self):
+    def test_expert_order_permutation_with_full_selection(self, tmp_path):
         bank = make_bank(n_specialists=3, seed=23)
         hyper = ex.TrainHyper(max_epochs=2)
 
@@ -417,17 +419,17 @@ class TestTrainFusion:
         for order in ([0, 1, 2], [2, 0, 1]):
             experts = [bank[0]] + [bank[1 + i] for i in order]
             system = fu.FusionSystem(experts, k=3, seed=24)
-            subset = feature_set(system, synth_entries(5, "T0"))
-            dev = feature_set(system, synth_entries(3, "dev1"))
+            subset = feature_set(system, synth_entries(tmp_path, 5, "T0"), tmp_path)
+            dev = feature_set(system, synth_entries(tmp_path, 3, "dev1"), tmp_path)
             history = fu.train_fusion(system, subset, dev, hyper, seed=25)
             results.append(history[-1]["dev_eer"])
         assert abs(results[0] - results[1]) < 1e-9
 
-    def test_bank_mutation_is_hard_failure(self):
+    def test_bank_mutation_is_hard_failure(self, tmp_path):
         system = fu.FusionSystem(make_bank(n_specialists=2), k=1, seed=26)
         system.experts[1].tensors["lora.b0"][0, 0] += 1.0
-        subset = feature_set(system, synth_entries(3, "T0"))
-        dev = feature_set(system, synth_entries(2, "dev2"))
+        subset = feature_set(system, synth_entries(tmp_path, 3, "T0"), tmp_path)
+        dev = feature_set(system, synth_entries(tmp_path, 2, "dev2"), tmp_path)
         with pytest.raises(ex.FrozenContractError):
             fu.train_fusion(system, subset, dev, ex.TrainHyper(max_epochs=1), seed=27)
 
@@ -439,13 +441,14 @@ class TestFusionCheckpoint:
         rng = np.random.default_rng(32)
         for layer in range(ase.n_layers):
             ase.tensors[f"lora.b{layer}"] = rng.normal(0, 0.1, ase.tensors[f"lora.b{layer}"].shape)
-        base_ref = ex.save_expert_checkpoint(base, tmp_path / "e0.json")
-        ase_ref = ex.save_adapter_checkpoint(ase, tmp_path / "ase.json")
+        refs = [("e0.json", ex.save_expert_checkpoint(base, tmp_path / "e0.json")),
+                ("ase.json", ex.save_adapter_checkpoint(ase, tmp_path / "ase.json"))]
         system = fu.FusionSystem([base, ase], k=1, seed=33)
-        fu.save_fusion_checkpoint(
-            system, tmp_path / "fusion.json",
-            [("e0.json", base_ref), ("ase.json", ase_ref)],
-        )
+        fu.save_fusion_checkpoint(system, tmp_path / "fusion.json", refs)
+        loaded_base, base_ref = ex.load_expert_checkpoint(tmp_path / "e0.json")
+        loaded_ase, ase_ref = ex.load_adapter_checkpoint(tmp_path / "ase.json", loaded_base)
+        bank = [loaded_base, loaded_ase]
+        assert [base_ref, ase_ref] == [checksum for _, checksum in refs]
         read = []
         original = Path.read_text
 
@@ -454,9 +457,10 @@ class TestFusionCheckpoint:
             return original(path, *args, **kwargs)
 
         monkeypatch.setattr(Path, "read_text", counting)
-        loaded = fu.load_fusion_checkpoint(tmp_path / "fusion.json", tmp_path)
+        loaded = fu.load_fusion_checkpoint(tmp_path / "fusion.json", bank, refs)
         monkeypatch.undo()
-        assert sorted(read) == ["ase.json", "e0.json", "fusion.json"]  # each file once
+        assert read == ["fusion.json"]  # the bank is the caller's, loaded once
+        assert loaded.experts == bank
         clip = cp.synth_clip("spoof", 9, SYNTH)
         assert score(loaded, clip) == score(system, clip)
 
@@ -482,14 +486,25 @@ class TestFusionCheckpoint:
 
     def test_binding_mismatch_detected(self, tmp_path):
         base = ex.new_expert(ENC, 34)
-        ase = ex.lora_inject(base, ex.LoraConfig(2, 8.0, 0.0), seed=35)
-        base_ref = ex.save_expert_checkpoint(base, tmp_path / "e0.json")
-        ase_ref = ex.save_adapter_checkpoint(ase, tmp_path / "ase.json")
-        system = fu.FusionSystem([base, ase], k=1, seed=36)
-        fu.save_fusion_checkpoint(
-            system, tmp_path / "fusion.json",
-            [("e0.json", base_ref), ("ase.json", ase_ref)],
-        )
-        ex.save_expert_checkpoint(ex.new_expert(ENC, 999), tmp_path / "e0.json")
-        with pytest.raises(ex.CheckpointError):
-            fu.load_fusion_checkpoint(tmp_path / "fusion.json", tmp_path)
+        bank = [base] + [ex.lora_inject(base, ex.LoraConfig(2, 8.0, 0.0), seed=35 + i)
+                         for i in range(2)]
+        refs = [("e0.json", ex.save_expert_checkpoint(base, tmp_path / "e0.json"))]
+        for i, ase in enumerate(bank[1:], 1):
+            refs.append((f"a{i}.json", ex.save_adapter_checkpoint(ase, tmp_path / f"a{i}.json")))
+        system = fu.FusionSystem(bank, k=1, seed=36)
+        fu.save_fusion_checkpoint(system, tmp_path / "fusion.json", refs)
+        other = ("a3.json", "0" * 64)
+        # (refs of the loaded bank, the first expert the head was trained over that differs)
+        for loaded_refs, stale in (
+            ([refs[0], ("a1.json", "0" * 64), refs[2]], "a1.json"),  # retrained in place
+            ([refs[0], refs[1], other], "a2.json"),  # a roster entry names another condition
+            ([refs[0], refs[2], refs[1]], "a1.json"),
+            (refs[:2], "a2.json"),
+            (refs + [other], "no expert"),
+        ):
+            with pytest.raises(ex.CheckpointError) as raised:
+                fu.load_fusion_checkpoint(tmp_path / "fusion.json", bank, loaded_refs)
+            message = str(raised.value)
+            assert message.startswith(f"{tmp_path / 'fusion.json'}: ")
+            assert "fusion binding" in message and "run `amulet train-fusion`" in message
+            assert f"trained over {stale}" in message
