@@ -90,8 +90,11 @@ class ManifestEntry:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ManifestEntry":
-        return cls(data["clip_id"], data["label"], data["split"], data["condition"],
-                   data["seed"], data["path"])
+        try:
+            return cls(data["clip_id"], data["label"], data["split"], data["condition"],
+                       data["seed"], data["path"])
+        except KeyError as exc:
+            raise ManifestError(f"manifest entry {data!r} has no {exc.args[0]!r}") from None
 
 
 @dataclass

@@ -236,6 +236,15 @@ class TestManifestInvariants:
         with pytest.raises(cp.ManifestError):
             cp.Manifest([entry, entry])
 
+    @pytest.mark.parametrize("key", ["clip_id", "seed", "path"])
+    def test_entry_missing_a_key_rejected(self, tmp_path, key):
+        # a hand-edited line is outside input: one ManifestError, not a KeyError
+        entry = cp.ManifestEntry("x", "bonafide", "train", "T0", 1, path="p.wav").to_dict()
+        del entry[key]
+        (tmp_path / "m.jsonl").write_text(json.dumps(entry) + "\n")
+        with pytest.raises(cp.ManifestError, match=f"has no '{key}'"):
+            cp.load_manifest(tmp_path / "m.jsonl")
+
     def test_unlabeled_rejected(self):
         with pytest.raises(cp.ManifestError):
             cp.Manifest([cp.ManifestEntry("x", "unlabeled", "train", "T0", 1, path="p.wav")])
