@@ -581,6 +581,25 @@ class Pipeline:
 
     # --- reporting ---------------------------------------------------------------
 
+    def _param_counts(self) -> tuple:
+        """({system: trainable parameters}, encoder parameters of one expert).
+
+        Every count follows from the shapes the config fixes, as
+        `experts.new_expert`, `experts.lora_inject` and
+        `fusion.init_fusion_params` build them; heads other than the fused
+        ones are a training scaffold and not counted. No model is built:
+        their random draws would load numpy.random, about 2 MB of peak RSS."""
+        dims = self.cfg.encoder.layer_dims
+        total = sum(m * n + n for m, n in dims)  # enc.w{i}, enc.b{i}
+        adapters = sum(self.cfg.lora.rank * (m + n) for m, n in dims)  # lora.a{i}, lora.b{i}
+        d, n = self.cfg.encoder.output_dim, len(self.cfg.roster)
+        # gate.w, gate.b, ln.g, ln.b, pool.a, pool.proj, cls.w1, cls.b1, cls.w2, cls.b2
+        head = d * n + n + d + d + d + d * d + d * d + d + d * 2 + 2
+        counts = {"E0": total, **{expert_id: adapters for expert_id in self.cfg.expert_ids}}
+        counts["ensemble"] = 0  # no additional training
+        counts.update((f"fused_top{k}", head) for k in self.cfg.k_values)
+        return counts, total
+
     def report(self) -> None:
         reports_dir = self.root / "reports"
         outputs = [
@@ -592,16 +611,7 @@ class Pipeline:
 
         def fn():
             reports_dir.mkdir(parents=True, exist_ok=True)
-            # the config fixes every shape: count on fresh models, not checkpoints
-            shared = ex.new_expert(self.cfg.encoder, 0)
-            adapted = ex.count_trainable(ex.lora_inject(shared, self.cfg.lora, 0))
-            rows = [("E0", ex.count_trainable(shared))]
-            rows += [(expert_id, adapted) for expert_id in self.cfg.expert_ids]
-            head = fusion.init_fusion_params(self.cfg.encoder.output_dim, len(self.cfg.roster), 0)
-            tp = {name: counts["trainable"] for name, counts in rows}
-            tp["ensemble"] = 0  # no additional training
-            for k in self.cfg.k_values:
-                tp[f"fused_top{k}"] = sum(v.size for v in head.values())
+            tp, total = self._param_counts()
             for title, conditions, stem in (
                 ("single-attack EER (%)", self.cfg.single_conditions, "single_attack_eer"),
                 ("mixed-attack EER (%)", list(self.cfg.mixed), "mixed_attack_eer"),
@@ -620,39 +630,36 @@ class Pipeline:
                 (reports_dir / f"{stem}.txt").write_text(
                     metrics.render_report_text(report, title)
                 )
-            self._write_param_report(reports_dir, rows)
+            experts = ["E0"] + self.cfg.expert_ids
+            self._write_param_report(reports_dir, [(name, tp[name]) for name in experts], total)
             self._write_checksums()
 
         self.run_stage("report", watched, fn)
 
-    def _write_param_report(self, reports_dir: Path, rows) -> None:
-        """`rows` are (system, `count_trainable`) of E0 and each expert."""
-        shared = rows[0][1]
+    def _write_param_report(self, reports_dir: Path, rows, total: int) -> None:
+        """`rows` are (system, trainable encoder parameters) of E0 and each
+        expert, of `total`."""
+        rows = [(name, trainable, 100.0 * trainable / total) for name, trainable in rows]
         lines = ["system,trainable_params,total_params,percent"]
-        for name, counts in rows:
-            lines.append(
-                f"{name},{counts['trainable']},{counts['total']},{counts['percent']!r}"
-            )
+        for name, trainable, percent in rows:
+            lines.append(f"{name},{trainable},{total},{percent!r}")
         csv_text = "\n".join(lines) + "\n"
         (reports_dir / "param_efficiency.csv").write_text(csv_text)
 
-        ase_counts = rows[1][1] if len(rows) > 1 else shared
-        desk_pct = 100.0 * ase_counts["trainable"] / shared["trainable"]
+        shared, adapted = rows[0][1], rows[1][1]
+        desk_pct = 100.0 * adapted / shared
         big_pct = 100.0 * 3.59e6 / 318e6
         text = [
             "trainable parameters per expert",
             "===============================",
             f"{'system':<10}{'trainable':>12}{'total':>12}{'percent':>10}",
         ]
-        for name, counts in rows:
-            text.append(
-                f"{name:<10}{counts['trainable']:>12}{counts['total']:>12}"
-                f"{counts['percent']:>10.2f}"
-            )
+        for name, trainable, percent in rows:
+            text.append(f"{name:<10}{trainable:>12}{total:>12}{percent:>10.2f}")
         text.append("")
         text.append(
-            f"note: adapter training touches {ase_counts['trainable']} of "
-            f"{shared['trainable']} encoder parameters ({desk_pct:.2f}%) at this scale."
+            f"note: adapter training touches {adapted} of "
+            f"{shared} encoder parameters ({desk_pct:.2f}%) at this scale."
         )
         text.append(
             f"note: at production scale the same recipe trains 3.59M of 318M "

@@ -333,6 +333,26 @@ class TestBankLoading:
             assert cli.main(["--config", trained_bank[0], "--out", str(out), stage]) == 0
             assert dict(parsed) == expected, stage
 
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"encoder": {"frame_len": 40, "hop": 20, "hidden_dims": [6, 10]}, "lora": {"rank": 3}},
+    ])
+    def test_report_counts_follow_the_constructors(self, tmp_path, overrides):
+        # report counts from the config what the constructors would build
+        config = validate_config(micro_config(tmp_path / "out", **overrides))
+        counts, total = cli.Pipeline(config, tmp_path / "out")._param_counts()
+        shared = ex.count_trainable(ex.new_expert(config.encoder, 0))
+        adapted = ex.count_trainable(ex.lora_inject(ex.new_expert(config.encoder, 0),
+                                                    config.lora, 0))
+        head = fu.init_fusion_params(config.encoder.output_dim, len(config.roster), 0)
+        assert total == shared["total"] == adapted["total"]
+        assert counts == {
+            "E0": shared["trainable"],
+            **{expert_id: adapted["trainable"] for expert_id in config.expert_ids},
+            "ensemble": 0,
+            **{f"fused_top{k}": sum(v.size for v in head.values()) for k in config.k_values},
+        }
+
     def test_e0_parsed_once_per_train_ase_call(self, trained_bank, tmp_path, monkeypatch):
         parsed = Counter()
         original = ex._read_payload
