@@ -630,16 +630,15 @@ class Pipeline:
                 (reports_dir / f"{stem}.txt").write_text(
                     metrics.render_report_text(report, title)
                 )
-            experts = ["E0"] + self.cfg.expert_ids
-            self._write_param_report(reports_dir, [(name, tp[name]) for name in experts], total)
+            self._write_param_report(reports_dir, tp, total)
             self._write_checksums()
 
         self.run_stage("report", watched, fn)
 
-    def _write_param_report(self, reports_dir: Path, rows, total: int) -> None:
-        """`rows` are (system, trainable encoder parameters) of E0 and each
-        expert, of `total`."""
-        rows = [(name, trainable, 100.0 * trainable / total) for name, trainable in rows]
+    def _write_param_report(self, reports_dir: Path, counts: dict, total: int) -> None:
+        """The rows of E0 and each expert of `counts`, from `_param_counts`."""
+        rows = [(name, counts[name], 100.0 * counts[name] / total)
+                for name in ["E0"] + self.cfg.expert_ids]
         lines = ["system,trainable_params,total_params,percent"]
         for name, trainable, percent in rows:
             lines.append(f"{name},{trainable},{total},{percent!r}")
