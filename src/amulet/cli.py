@@ -1,13 +1,17 @@
 """Batch pipeline driver: one executable, one JSON config, cached stages.
 
-Stages are idempotent: each records a fingerprint of the resolved config plus
-content hashes of everything it read and wrote, and is skipped when nothing
-changed. A cache check reads the stage's state file, takes one `stat` per
-watched path (walking the directories among them) and hashes the files; it
-parses no artifact, since stages load their manifests and checkpoints only
-when they run. Watched paths are strings under the output root. Within one
-`Pipeline` (one command), each watched file is hashed at most once: its
-sha256 is kept in memory until stages run. Stages run in batches
+Every stage is (name, inputs, outputs, fn): the artifacts it reads, those it
+writes, and the work. Stages are idempotent: each records a fingerprint of
+the resolved config plus content hashes of its inputs and outputs, and is
+skipped when nothing changed. The eval audio that `evaluate` reads is the
+one unwatched read. A stale stage's inputs must exist; a missing one is
+reported with the command that writes it. A cache check reads the stage's
+state file, takes one `stat` per watched path (walking the directories among
+them) and hashes the files; it parses no artifact, since stages load their
+manifests and checkpoints only when they run. Watched paths are strings
+under the output root. Within one `Pipeline` (one command), each watched
+file is hashed at most once: its sha256 is kept in memory until stages run,
+and a kept digest stands in for the file's `stat`. Stages run in batches
 (`Pipeline.run_stages`); all kept digests are dropped before a batch runs,
 before each of its stages is recorded and after the batch, since a stage
 that runs may rewrite any file. Nothing of it is stored, so every command
@@ -24,7 +28,8 @@ write them into one shared memory mapping made before they fork, which the
 fusion-head workers then inherit.
 
 `reproduce` chains synth, attacks, expert and fusion training, scoring, and
-reporting, ending with a checksum manifest over every artifact.
+reporting, ending with a checksum manifest over the outputs of every stage
+the config names.
 
 Exit codes: 0 success, 1 user/config error, 2 internal invariant violation.
 """
@@ -34,6 +39,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import mmap
 import os
 import stat
@@ -73,6 +79,15 @@ def _walk(top: str, rel: str, files: dict) -> None:
             elif entry.is_file():
                 files[sub] = entry.path
 
+
+# The command that writes each stage input, by the start of its path
+# relative to the root; the first match names it.
+_WRITERS = (
+    ("manifests/T0.jsonl", "synth"), ("audio/T0", "synth"),
+    ("manifests/", "attack"), ("audio/", "attack"),
+    ("checkpoints/e0.json", "train-shared"), ("checkpoints/ase_", "train-ase"),
+    ("checkpoints/fusion_top", "train-fusion"), ("scores/", "evaluate"),
+)
 
 # (pipeline, thunks) of the batch a worker pool runs. `_map` sets it before
 # the pool forks and clears it after: closures do not pickle, so workers
@@ -126,11 +141,15 @@ class Pipeline:
 
     def _expand(self, paths) -> dict:
         """{path relative to the root: path} of every existing file among
-        `paths`, directories expanded recursively, with one `stat` per path."""
+        `paths`, directories expanded recursively, with one `stat` per path
+        whose digest is not kept (a kept one is a file that exists)."""
         files = {}
         for path in paths:
             path = os.fspath(path)
             rel = self._rel(path)
+            if path in self._digests:
+                files[rel] = path
+                continue
             try:
                 mode = os.stat(path).st_mode
             except OSError:  # missing, as `os.path.exists` sees it
@@ -174,45 +193,58 @@ class Pipeline:
             f.write(json.dumps(state, sort_keys=True, separators=(",", ":")) + "\n")
         os.replace(tmp, path)
 
-    def run_stage(self, stage: str, watched, fn) -> bool:
+    def run_stage(self, stage: str, inputs, outputs, fn) -> bool:
         """Returns True when the stage ran, False when its cache was fresh."""
-        return self.run_stages([(stage, watched, fn)])[0]
+        return self.run_stages([(stage, inputs, outputs, fn)])[0]
 
     def run_stages(self, stages, prepare=None) -> list:
-        """Run the stale ones of `stages`, (name, watched, fn) triples, on up
+        """Run the stale ones of `stages`, (name, inputs, outputs, fn), on up
         to `jobs` workers. Returns, per stage, True when it ran.
 
-        Every cache is checked first; `prepare` is called once, in this
-        process, when some stage is stale, so that its work is shared by the
-        stages (and inherited by the workers). Each stage is logged and
-        recorded here, in order, as its result arrives. The stages of one
-        batch must be independent: no stage may write a file that another
-        stage of the batch watches, since they run concurrently. Any of
-        them may rewrite other files, so the digests kept so far are dropped
-        before the batch, before each record and after the batch."""
-        stale = [not self.stage_cached(name, watched) for name, watched, _ in stages]
+        A stage's cache watches its inputs plus its outputs. Every cache is
+        checked first; then every input of a stale stage must exist, and
+        `prepare` is called once, in this process, so that its work is
+        shared by the stages (and inherited by the workers). Each stage is
+        logged and recorded here, in order, as its result arrives. The
+        stages of one batch must be independent: no stage may write a file
+        that another stage of the batch watches, since they run
+        concurrently. Any of them may rewrite other files, so the digests
+        kept so far are dropped before the batch, before each record and
+        after the batch."""
+        stale = [not self.stage_cached(name, inputs + outputs)
+                 for name, inputs, outputs, _ in stages]
         if not any(stale):
-            for name, _, _ in stages:
+            for name, *_ in stages:
                 self.log(name, "skipped (outputs up to date)")
             return stale
+        missing = [path for (_, inputs, _, _), run in zip(stages, stale) if run
+                   for path in inputs if not os.path.exists(path)]
+        if missing:
+            path = os.fspath(missing[0])
+            raise MissingArtifactError(f"{path} not found; run `amulet {self._writer(path)}` first")
         if prepare is not None:
             prepare()
         thunks = [self._stage_thunk(name, fn)
-                  for (name, _, fn), run in zip(stages, stale) if run]
+                  for (name, *_, fn), run in zip(stages, stale) if run]
         self._digests.clear()
         try:
             with closing(self._map(thunks)) as results:
-                for (name, watched, _), run in zip(stages, stale):
+                for (name, inputs, outputs, _), run in zip(stages, stale):
                     if not run:
                         self.log(name, "skipped (outputs up to date)")
                         continue
                     next(results)
                     self._digests.clear()
-                    self.record_stage(name, watched)
+                    self.record_stage(name, inputs + outputs)
                     self.log(name, "done")
         finally:
             self._digests.clear()
         return stale
+
+    def _writer(self, path: str) -> str:
+        """The command that writes stage input `path`."""
+        rel = self._rel(path).replace(os.sep, "/")
+        return next(writer for prefix, writer in _WRITERS if rel.startswith(prefix))
 
     def _stage_thunk(self, name: str, fn):
         def run():
@@ -267,62 +299,63 @@ class Pipeline:
     def ckpt_path(self, name: str) -> str:
         return self._path("checkpoints", f"{name}.json")
 
+    def fusion_path(self, k: int) -> str:
+        return self.ckpt_path(f"fusion_top{k}")
+
     def score_path(self, system: str, condition: str) -> str:
         return self._path("scores", f"{system}__{condition}.json")
 
-    def existing_manifest(self, condition: str) -> str:
-        """The manifest path of `condition`, which must exist; not parsed."""
-        path = self.manifest_path(condition)
-        if not os.path.exists(path):
-            raise MissingArtifactError(
-                f"manifest for {condition!r} not found at {path}; run `amulet attack` "
-                f"(or `amulet synth` for T0) first"
-            )
-        return path
+    def corpus_paths(self, conditions) -> list:
+        """The manifest and audio directory of each of `conditions`."""
+        return [path for condition in conditions
+                for path in (self.manifest_path(condition), self.audio_dir(condition))]
 
-    def load_manifest(self, condition: str) -> corpus.Manifest:
-        return corpus.load_manifest(self.existing_manifest(condition))
+    def bank_paths(self) -> list:
+        """The expert checkpoints [E0, E1..En], in roster order."""
+        return [self.ckpt_path("e0")] + [self.ckpt_path(f"ase_{condition}")
+                                         for condition in self.cfg.train_conditions]
 
-    def load_expert(self, name: str) -> str:
-        """The checkpoint path of expert `name`, which must exist; not parsed."""
-        path = self.ckpt_path(name)
-        if not os.path.exists(path):
-            stage = "train-shared" if name == "e0" else "train-ase"
-            raise MissingArtifactError(f"checkpoint {path} not found; run `amulet {stage}` first")
-        return path
+    def score_paths(self, conditions) -> list:
+        return [self.score_path(system, condition)
+                for system in self.system_names() for condition in conditions]
+
+    def report_paths(self) -> list:
+        return [self._path("reports", f"{stem}.{ext}")
+                for stem in ("single_attack_eer", "mixed_attack_eer", "param_efficiency")
+                for ext in ("csv", "txt")]
 
     # --- stages ----------------------------------------------------------------
 
     def synth(self) -> bool:
-        watched = [self.manifest_path("T0"), self.audio_dir("T0")]
-
         def fn():
             corpus.build_corpus(self.cfg.synth, self.root, self.cfg.seeds.data)
 
-        return self.run_stage("synth", watched, fn)
+        return self.run_stage("synth", [], self.corpus_paths(["T0"]), fn)
 
-    def attack_conditions(self, only: str | None = None) -> list:
-        conditions = self.cfg.train_conditions + list(self.cfg.eval_extra) + list(self.cfg.mixed)
-        if only is not None:
-            if only not in conditions:
-                raise ConfigError(
-                    [f"unknown condition {only!r}; valid conditions: {', '.join(conditions)}"]
-                )
-            conditions = [only]
-        return conditions
+    def attack_conditions(self) -> list:
+        return self.cfg.train_conditions + list(self.cfg.eval_extra) + list(self.cfg.mixed)
+
+    @staticmethod
+    def _pick(conditions: list, only: str | None) -> list:
+        """`conditions`, or only `only`, which must be one of them."""
+        if only is None:
+            return conditions
+        if only not in conditions:
+            raise ConfigError(
+                [f"unknown condition {only!r}; valid conditions: {', '.join(conditions)}"])
+        return [only]
 
     def attack(self, only: str | None = None) -> None:
-        base_path = self.existing_manifest("T0")
+        base = self.corpus_paths(["T0"])
         loaded = {}
 
         def prepare():
-            loaded["base"] = corpus.load_manifest(base_path)
+            loaded["base"] = corpus.load_manifest(base[0])
 
         stages = [
-            (f"attack-{condition}",
-             [base_path, self.manifest_path(condition), self.audio_dir(condition)],
+            (f"attack-{condition}", base, self.corpus_paths([condition]),
              lambda c=condition: self._build_condition(loaded["base"], c))
-            for condition in self.attack_conditions(only)
+            for condition in self._pick(self.attack_conditions(), only)
         ]
         self.run_stages(stages, prepare)
 
@@ -340,11 +373,10 @@ class Pipeline:
         corpus.save_manifest(corpus.Manifest(entries), self.manifest_path(condition))
 
     def train_shared(self) -> None:
-        manifest_path = self.existing_manifest("T0")
-        watched = [manifest_path, self.audio_dir("T0"), self.ckpt_path("e0")]
+        inputs = self.corpus_paths(["T0"])
 
         def fn():
-            manifest = corpus.load_manifest(manifest_path)
+            manifest = corpus.load_manifest(inputs[0])
             model, _ = ex.train_shared(
                 self.cfg.encoder,
                 manifest.split("train"),
@@ -356,42 +388,22 @@ class Pipeline:
             )
             ex.save_expert_checkpoint(model, self.ckpt_path("e0"))
 
-        self.run_stage("train-shared", watched, fn)
-
-    def _roster_items(self, only_condition: str | None = None) -> list:
-        items = [(name, self.cfg.roster[name]) for name in self.cfg.expert_ids]
-        if only_condition is not None:
-            items = [(n, c) for n, c in items if c == only_condition]
-            if not items:
-                raise ConfigError(
-                    [
-                        f"unknown condition {only_condition!r}; valid conditions: "
-                        + ", ".join(self.cfg.train_conditions)
-                    ]
-                )
-        return items
+        self.run_stage("train-shared", inputs, [self.ckpt_path("e0")], fn)
 
     def train_ase(self, only_condition: str | None = None) -> None:
-        roster = self._roster_items(only_condition)
-        base_path = self.load_expert("e0")
+        base_path = self.ckpt_path("e0")
         loaded = {}
 
         def prepare():
             loaded["base"], _ = ex.load_expert_checkpoint(base_path)
 
         stages = []
-        for expert_id, condition in roster:
-            manifest_path = self.existing_manifest(condition)
+        for condition in self._pick(self.cfg.train_conditions, only_condition):
             stage = f"train-ase-{condition}"
-            watched = [
-                base_path,
-                manifest_path,
-                self.audio_dir(condition),
-                self.ckpt_path(f"ase_{condition}"),
-            ]
+            out_path = self.ckpt_path(f"ase_{condition}")
 
-            def fn(condition=condition, manifest_path=manifest_path, stage=stage):
-                manifest = corpus.load_manifest(manifest_path)
+            def fn(condition=condition, out_path=out_path, stage=stage):
+                manifest = corpus.load_manifest(self.manifest_path(condition))
                 model, _ = ex.train_ase(
                     loaded["base"],
                     condition,
@@ -403,23 +415,18 @@ class Pipeline:
                     self.cfg.seeds.training,
                     log=lambda msg: self.log(stage, msg),
                 )
-                ex.save_adapter_checkpoint(model, self.ckpt_path(f"ase_{condition}"))
+                ex.save_adapter_checkpoint(model, out_path)
 
-            stages.append((stage, watched, fn))
+            stages.append((stage, [base_path, *self.corpus_paths([condition])], [out_path], fn))
         self.run_stages(stages, prepare)
 
     def _load_bank(self) -> tuple:
-        """Parse and verify each expert checkpoint once. Returns the bank
-        [E0, E1..En] in roster order and, parallel to it, each checkpoint's
+        """Parse and verify each expert checkpoint of `bank_paths` once.
+        Returns the bank [E0, E1..En] and, parallel to it, each checkpoint's
         (path relative to the root, content checksum), which a fusion
         checkpoint must list exactly. Only the stages that run the bank,
         `train-fusion` and `evaluate`, load it."""
-        paths = [self.load_expert("e0")]
-        for expert_id in self.cfg.expert_ids:
-            path = self.ckpt_path(f"ase_{self.cfg.roster[expert_id]}")
-            if not os.path.exists(path):
-                raise MissingArtifactError(f"{path} not found; run `amulet train-ase` first")
-            paths.append(path)
+        paths = self.bank_paths()
         base, checksum = ex.load_expert_checkpoint(paths[0])
         bank, checksums = [base], [checksum]
         for path in paths[1:]:
@@ -438,9 +445,8 @@ class Pipeline:
         of shape (experts, rows, dim) made before they fork; every clip's
         rows are views into it. Clip offsets come from the WAV headers, so
         no clip's samples stay here, and no array crosses a pipe."""
-        manifests = [self.load_manifest("T0")]
-        for condition in self.cfg.train_conditions:
-            manifests.append(self.load_manifest(condition))
+        manifests = [corpus.load_manifest(self.manifest_path(condition))
+                     for condition in ["T0", *self.cfg.train_conditions]]
         subset = corpus.sample_fusion_subset(
             manifests, self.cfg.subset_fraction, self.cfg.seeds.fusion
         ).entries
@@ -484,12 +490,8 @@ class Pipeline:
                 raise ConfigError(
                     [f"k={k} is not one of the configured presets {self.cfg.k_values}"]
                 )
-        expert_paths = [self.load_expert("e0")] + [
-            self.ckpt_path(f"ase_{c}") for c in self.cfg.train_conditions
-        ]
-        manifest_paths = [self.manifest_path("T0")] + [
-            self.manifest_path(c) for c in self.cfg.train_conditions
-        ]
+        # the bank and the manifests and audio of the fusion subset and dev clips
+        inputs = self.bank_paths() + self.corpus_paths(["T0", *self.cfg.train_conditions])
         loaded = {}
 
         def prepare():
@@ -499,8 +501,7 @@ class Pipeline:
         stages = []
         for k in k_values:
             stage = f"train-fusion-top{k}"
-            out_path = self.ckpt_path(f"fusion_top{k}")
-            watched = expert_paths + manifest_paths + [out_path]
+            out_path = self.fusion_path(k)
 
             def fn(k=k, out_path=out_path, stage=stage):
                 system = fusion.FusionSystem(
@@ -514,7 +515,7 @@ class Pipeline:
                 )
                 fusion.save_fusion_checkpoint(system, out_path, loaded["refs"])
 
-            stages.append((stage, watched, fn))
+            stages.append((stage, inputs, [out_path], fn))
         self.run_stages(stages, prepare)
 
     # --- evaluation ------------------------------------------------------------
@@ -525,24 +526,21 @@ class Pipeline:
             + [f"fused_top{k}" for k in self.cfg.k_values]
         )
 
+    def scored_conditions(self) -> list:
+        return self.cfg.single_conditions + list(self.cfg.mixed)
+
     def evaluate(self) -> None:
-        conditions = self.cfg.single_conditions + list(self.cfg.mixed)
-        score_paths = [
-            self.score_path(system, condition)
-            for system in self.system_names()
-            for condition in conditions
-        ]
-        watched = (score_paths + [self._path("checkpoints")]
-                   + [self.manifest_path(c) for c in conditions])
+        conditions = self.scored_conditions()
+        # The eval audio is read but not watched: watching the audio of the
+        # scored conditions took a cached `evaluate` plus `report` on
+        # perfbench's `score` root from 3.2 to 15-18 ms (2-core VM).
+        inputs = (self.bank_paths() + [self.fusion_path(k) for k in self.cfg.k_values]
+                  + [self.manifest_path(c) for c in conditions])
 
         def fn():
             bank, refs = self._load_bank()
-            fused = {}
-            for k in self.cfg.k_values:
-                path = self.ckpt_path(f"fusion_top{k}")
-                if not os.path.exists(path):
-                    raise MissingArtifactError(f"{path} not found; run `amulet train-fusion` first")
-                fused[f"fused_top{k}"] = fusion.load_fusion_checkpoint(path, bank, refs)
+            fused = {f"fused_top{k}": fusion.load_fusion_checkpoint(self.fusion_path(k), bank, refs)
+                     for k in self.cfg.k_values}
             thunks = [lambda c=c: self._score_condition(bank, fused, c) for c in conditions]
             results = list(self._map(thunks))
             os.makedirs(self._path("scores"), exist_ok=True)
@@ -552,12 +550,12 @@ class Pipeline:
                     metrics.save_scores(scores, self.score_path(name, condition))
                 self.log("evaluate", f"scored {condition} ({n_clips} clips)")
 
-        self.run_stage("evaluate", watched, fn)
+        self.run_stage("evaluate", inputs, self.score_paths(conditions), fn)
 
     def _score_condition(self, bank, fused, condition: str) -> tuple:
         """Score every eval clip of `condition` with every system. Returns
         the clip count and {system: (bona-fide scores, spoof scores)}."""
-        manifest = self.load_manifest(condition)
+        manifest = corpus.load_manifest(self.manifest_path(condition))
         entries = sorted(manifest.split("eval"), key=lambda e: e.clip_id)
         if not entries:
             raise MissingArtifactError(f"{condition}: no eval entries to score")
@@ -586,15 +584,14 @@ class Pipeline:
 
         Every count follows from the shapes the config fixes, as
         `experts.new_expert`, `experts.lora_inject` and
-        `fusion.init_fusion_params` build them; heads other than the fused
-        ones are a training scaffold and not counted. No model is built:
-        their random draws would load numpy.random, about 2 MB of peak RSS."""
+        `fusion.fusion_shapes` give them; heads other than the fused ones
+        are a training scaffold and not counted. No model is built: their
+        random draws would load numpy.random, about 2 MB of peak RSS."""
         dims = self.cfg.encoder.layer_dims
         total = sum(m * n + n for m, n in dims)  # enc.w{i}, enc.b{i}
         adapters = sum(self.cfg.lora.rank * (m + n) for m, n in dims)  # lora.a{i}, lora.b{i}
-        d, n = self.cfg.encoder.output_dim, len(self.cfg.roster)
-        # gate.w, gate.b, ln.g, ln.b, pool.a, pool.proj, cls.w1, cls.b1, cls.w2, cls.b2
-        head = d * n + n + d + d + d + d * d + d * d + d + d * 2 + 2
+        shapes = fusion.fusion_shapes(self.cfg.encoder.output_dim, len(self.cfg.roster))
+        head = sum(math.prod(shape) for shape in shapes.values())
         counts = {"E0": total, **{expert_id: adapters for expert_id in self.cfg.expert_ids}}
         counts["ensemble"] = 0  # no additional training
         counts.update((f"fused_top{k}", head) for k in self.cfg.k_values)
@@ -602,29 +599,16 @@ class Pipeline:
 
     def report(self) -> None:
         reports_dir = self.root / "reports"
-        outputs = [
-            self._path("reports", f"{stem}.{ext}")
-            for stem in ("single_attack_eer", "mixed_attack_eer", "param_efficiency")
-            for ext in ("csv", "txt")
-        ]
-        watched = outputs + [self._path("scores")]
+        single, mixed = self.cfg.single_conditions, list(self.cfg.mixed)
 
         def fn():
             reports_dir.mkdir(parents=True, exist_ok=True)
             tp, total = self._param_counts()
             for title, conditions, stem in (
-                ("single-attack EER (%)", self.cfg.single_conditions, "single_attack_eer"),
-                ("mixed-attack EER (%)", list(self.cfg.mixed), "mixed_attack_eer"),
+                ("single-attack EER (%)", single, "single_attack_eer"),
+                ("mixed-attack EER (%)", mixed, "mixed_attack_eer"),
             ):
-                sets = []
-                for system in self.system_names():
-                    for condition in conditions:
-                        path = self.score_path(system, condition)
-                        if not os.path.exists(path):
-                            raise MissingArtifactError(
-                                f"{path} not found; run `amulet evaluate` first"
-                            )
-                        sets.append(metrics.load_scores(path))
+                sets = [metrics.load_scores(path) for path in self.score_paths(conditions)]
                 report = metrics.build_report(sets, tp)
                 (reports_dir / f"{stem}.csv").write_text(metrics.report_to_csv(report))
                 (reports_dir / f"{stem}.txt").write_text(
@@ -633,7 +617,7 @@ class Pipeline:
             self._write_param_report(reports_dir, tp, total)
             self._write_checksums()
 
-        self.run_stage("report", watched, fn)
+        self.run_stage("report", self.score_paths(single + mixed), self.report_paths(), fn)
 
     def _write_param_report(self, reports_dir: Path, counts: dict, total: int) -> None:
         """The rows of E0 and each expert of `counts`, from `_param_counts`."""
@@ -667,12 +651,12 @@ class Pipeline:
         (reports_dir / "param_efficiency.txt").write_text("\n".join(text) + "\n")
 
     def _write_checksums(self) -> None:
-        artifact_dirs = ["audio", "manifests", "checkpoints", "scores", "reports"]
-        files = self._expand([self._path(name) for name in artifact_dirs])
-        checks = {rel: _hash_file(path) for rel, path in files.items()
-                  if os.path.basename(rel) != "checksums.json"}
+        """Hash the outputs of every stage the config names."""
+        outputs = (self.corpus_paths(["T0", *self.attack_conditions()]) + self.bank_paths()
+                   + [self.fusion_path(k) for k in self.cfg.k_values]
+                   + self.score_paths(self.scored_conditions()) + self.report_paths())
         out = self.root / "reports" / "checksums.json"
-        out.write_text(json.dumps(checks, sort_keys=True, indent=1) + "\n")
+        out.write_text(json.dumps(self._tree_hashes(outputs), sort_keys=True, indent=1) + "\n")
 
     def reproduce(self) -> None:
         self.synth()

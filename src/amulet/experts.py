@@ -359,16 +359,6 @@ def lora_inject(model: ExpertModel, lora: LoraConfig, seed: int) -> ExpertModel:
     return out
 
 
-def count_trainable(model: ExpertModel) -> dict:
-    """Parameter accounting over the encoder backbone (heads are a training
-    scaffold and excluded from the ratio, matching large-scale convention)."""
-    base = [n for n in model.tensors if n.startswith("enc.")]
-    total = sum(model.tensors[n].size for n in base)
-    countable = base + [n for n in model.tensors if n.startswith("lora.")]
-    trainable = sum(model.tensors[n].size for n in countable if n not in model.frozen)
-    return {"trainable": trainable, "total": total, "percent": 100.0 * trainable / total}
-
-
 @dataclass
 class TrainHyper:
     lr: float = 1e-4

@@ -50,20 +50,33 @@ class FusionError(ValueError):
     pass
 
 
-def init_fusion_params(dim: int, n_experts: int, seed: int) -> dict:
-    rng = np.random.Generator(np.random.Philox(seed))
+def fusion_shapes(dim: int, n_experts: int) -> dict:
+    """{name: shape} of every trainable tensor of a fused head."""
     return {
-        "gate.w": np.zeros((dim, n_experts)),
-        "gate.b": np.zeros((1, n_experts)),
-        "ln.g": np.ones((1, dim)),
-        "ln.b": np.zeros((1, dim)),
-        "pool.a": np.zeros((dim, 1)),
-        "pool.proj": np.eye(dim),
-        "cls.w1": rng.normal(0.0, 1.0 / np.sqrt(dim), size=(dim, dim)),
-        "cls.b1": np.zeros((1, dim)),
-        "cls.w2": np.zeros((dim, 2)),
-        "cls.b2": np.zeros((1, 2)),
+        "gate.w": (dim, n_experts),
+        "gate.b": (1, n_experts),
+        "ln.g": (1, dim),
+        "ln.b": (1, dim),
+        "pool.a": (dim, 1),
+        "pool.proj": (dim, dim),
+        "cls.w1": (dim, dim),
+        "cls.b1": (1, dim),
+        "cls.w2": (dim, 2),
+        "cls.b2": (1, 2),
     }
+
+
+def init_fusion_params(dim: int, n_experts: int, seed: int) -> dict:
+    """Zeros, except unit LN gains, an identity pooling projection and a
+    normal `cls.w1`, the one random draw."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    init = {
+        "ln.g": np.ones,
+        "pool.proj": lambda shape: np.eye(shape[0]),
+        "cls.w1": lambda shape: rng.normal(0.0, 1.0 / np.sqrt(dim), size=shape),
+    }
+    return {name: init.get(name, np.zeros)(shape)
+            for name, shape in fusion_shapes(dim, n_experts).items()}
 
 
 class FusionSystem:

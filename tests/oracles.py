@@ -42,6 +42,17 @@ def fold_adapters(model):
     return ex.ExpertModel(model.cfg, tensors)
 
 
+def count_trainable(model) -> dict:
+    """Parameter accounting over the encoder backbone (heads are a training
+    scaffold and excluded from the ratio, matching large-scale convention),
+    by summing the sizes of `model`'s own tensors."""
+    base = [n for n in model.tensors if n.startswith("enc.")]
+    total = sum(model.tensors[n].size for n in base)
+    countable = base + [n for n in model.tensors if n.startswith("lora.")]
+    trainable = sum(model.tensors[n].size for n in countable if n not in model.frozen)
+    return {"trainable": trainable, "total": total, "percent": 100.0 * trainable / total}
+
+
 def expand_watched(root, paths) -> dict:
     """{path relative to `root`: path} of every existing file among `paths`,
     directories expanded by `Path.rglob` (which follows file symlinks but does

@@ -21,6 +21,7 @@ from amulet import tensor as tc
 from amulet.audio import AudioClip
 
 from oracles import (
+    count_trainable,
     eer_segment_sweep,
     finite_difference_grads,
     fold_adapters,
@@ -105,10 +106,10 @@ class TestCriterion2LoraAlgebra:
                 for name in injected.tensors
                 if not name.startswith("head.") and name not in injected.frozen
             )
-            assert ex.count_trainable(injected)["trainable"] == formula == brute
+            assert count_trainable(injected)["trainable"] == formula == brute
 
         desk = ex.lora_inject(ex.new_expert(ENC, 0), ex.LoraConfig(4, 16.0, 0.1), seed=2)
-        counts = ex.count_trainable(desk)
+        counts = count_trainable(desk)
         assert (counts["trainable"], counts["total"]) == (1920, 18624)
         assert round(counts["percent"], 2) == 10.31
         paper_scale = 100.0 * 3.59e6 / 318e6

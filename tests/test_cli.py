@@ -13,13 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from amulet import cli
+from amulet import audio, cli
 from amulet import corpus
 from amulet import experts as ex
 from amulet import fusion as fu
+from amulet import metrics
 from amulet.audio import AudioClip, write_wav
 from amulet.config import ConfigError, ExperimentConfig, resolve_config, validate_config
-from oracles import expand_watched
+from oracles import count_trainable, expand_watched
 
 
 def micro_config(out_dir, **overrides):
@@ -36,6 +37,15 @@ def micro_config(out_dir, **overrides):
     }
     config.update(overrides)
     return config
+
+
+def tiny_config(out_dir, **overrides):
+    """`micro_config` at the smallest sizes, with one epoch per trainer and
+    one fused head."""
+    hyper = {"max_epochs": 1}
+    return micro_config(out_dir, **{
+        "synth": {"n_train": 4, "n_dev": 1, "n_eval": 1, "clip_seconds": 1.0},
+        "k_values": [1], "expert_train": hyper, "fusion_train": hyper, **overrides})
 
 
 def perfbench_run(monkeypatch):
@@ -341,8 +351,8 @@ class TestBankLoading:
         # report counts from the config what the constructors would build
         config = validate_config(micro_config(tmp_path / "out", **overrides))
         counts, total = cli.Pipeline(config, tmp_path / "out")._param_counts()
-        shared = ex.count_trainable(ex.new_expert(config.encoder, 0))
-        adapted = ex.count_trainable(ex.lora_inject(ex.new_expert(config.encoder, 0),
+        shared = count_trainable(ex.new_expert(config.encoder, 0))
+        adapted = count_trainable(ex.lora_inject(ex.new_expert(config.encoder, 0),
                                                     config.lora, 0))
         head = fu.init_fusion_params(config.encoder.output_dim, len(config.roster), 0)
         assert total == shared["total"] == adapted["total"]
@@ -476,17 +486,17 @@ class TestStageCache:
         shared.parent.mkdir(parents=True)
         shared.write_bytes(b"old")
         first = cli.Pipeline(config, root, log=lambda msg: None)
-        assert first.run_stage("reader-a", [shared], lambda: None)
-        assert first.run_stage("reader-c", [shared], lambda: None)
+        assert first.run_stage("reader-a", [shared], [], lambda: None)
+        assert first.run_stage("reader-c", [shared], [], lambda: None)
 
         hashed = counting_hashes(monkeypatch)
         pipe = cli.Pipeline(config, root, log=lambda msg: None)
         assert pipe.stage_cached("reader-a", [shared])
         assert hashed[str(shared)] == 1  # the digest of b"old" is kept
-        assert pipe.run_stage("writer-b", [root / "b.out"],
+        assert pipe.run_stage("writer-b", [], [root / "b.out"],
                               lambda: shared.write_bytes(b"new"))
         # reader-c recorded b"old": the kept digest must not stand in for the file
-        assert pipe.run_stage("reader-c", [shared], lambda: None)
+        assert pipe.run_stage("reader-c", [shared], [], lambda: None)
         assert json.loads((root / "state" / "reader-c.json").read_text())["files"] == {
             "shared.bin": sha256_file(shared)
         }
@@ -577,6 +587,116 @@ class TestStageCache:
                 pipe._expand([outside])
 
 
+@pytest.fixture(scope="module")
+def tiny_root(tmp_path_factory):
+    """A root that `reproduce` finished with `tiny_config`."""
+    work = tmp_path_factory.mktemp("tiny")
+    path = write_config(work, tiny_config(work / "out"))
+    assert cli.main(["--config", path, "reproduce"]) == 0
+    return path, work / "out"
+
+
+class TestStageInputs:
+    def test_every_read_lies_inside_the_watch(self, tmp_path, monkeypatch):
+        """Each path a stage opens is among the files its state records; the
+        eval WAVs that `evaluate` scores are the one unwatched read."""
+        out = tmp_path / "out"
+        config = validate_config(tiny_config(out))
+        charged, reads = [], []  # stages the reads serve; (stages, reader, path)
+
+        def recording(name, fn):
+            def read(path, *args, **kwargs):
+                reads.append((tuple(charged), name, Path(path)))
+                return fn(path, *args, **kwargs)
+            return read
+
+        for module, name in ((audio, "read_wav"), (corpus, "read_wav"), (audio, "wav_length"),
+                             (corpus, "wav_length"), (corpus, "load_manifest"),
+                             (ex, "load_expert_checkpoint"), (ex, "load_adapter_checkpoint"),
+                             (fu, "load_fusion_checkpoint"), (metrics, "load_scores")):
+            monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+        run_stages = cli.Pipeline.run_stages
+
+        def charging(self, stages, prepare=None):
+            charged[:] = [name for name, *_ in stages]  # `prepare` serves the whole batch
+            try:
+                return run_stages(self, stages, prepare)
+            finally:
+                charged.clear()
+
+        def log(line):
+            if line.endswith("] running"):
+                charged[:] = [line[1:line.index("]")]]
+
+        monkeypatch.setattr(cli.Pipeline, "run_stages", charging)
+        cli.Pipeline(config, out, jobs=1, log=log).reproduce()
+
+        unwatched = set()
+        for stages, name, path in reads:
+            assert stages, (name, path)
+            rel = str(path.relative_to(out))
+            for stage in stages:
+                files = json.loads((out / "state" / f"{stage}.json").read_text())["files"]
+                if rel in files:
+                    continue
+                assert stage == "evaluate" and name == "read_wav", (stage, name, rel)
+                assert path.parent.parent == out / "audio" and path.name.startswith("eval_")
+                unwatched.add(rel)
+        # a bona-fide and a spoof clip of each scored condition
+        assert len(unwatched) == 2 * len(config.single_conditions + config.mixed)
+        fusion_reads = {path.parent.name for stages, name, path in reads
+                        if stages == ("train-fusion-top1",) and name == "read_wav"}
+        assert fusion_reads == {"T0", "T3", "T5"}
+
+    def test_swapped_training_audio_reruns_fusion(self, tiny_root, tmp_path, capsys):
+        out = copy_root(tiny_root, tmp_path)
+        bona, spoof = (out / "audio" / "T3" / f"train_{label}_0000.wav"
+                       for label in ("bonafide", "spoof"))
+        data = bona.read_bytes()
+        bona.write_bytes(spoof.read_bytes())
+        spoof.write_bytes(data)
+        capsys.readouterr()
+        assert cli.main(["--config", tiny_root[0], "--out", str(out), "train-fusion"]) == 0
+        assert "[train-fusion-top1] running" in capsys.readouterr().out
+
+    def test_checksums_name_only_the_configured_artifacts(self, tiny_root, tmp_path):
+        # E2 moves from T5 to T1; T5's files stay in the root
+        out = copy_root(tiny_root, tmp_path)
+        moved = tiny_config(tmp_path / "fresh", roster={"E1": "T3", "E2": "T1"})
+        path = write_config(tmp_path, moved)
+        assert cli.main(["--config", path, "--out", str(out), "reproduce"]) == 0
+        assert cli.main(["--config", path, "reproduce"]) == 0
+        checksums = [json.loads((root / "reports" / "checksums.json").read_text())
+                     for root in (out, tmp_path / "fresh")]
+        assert (out / "checkpoints" / "ase_T5.json").exists()
+        assert not any("T5" in rel for rel in checksums[0])
+        assert checksums[0] == checksums[1]
+
+    @pytest.mark.parametrize("rel, command, writer", [
+        ("manifests/T0.jsonl", "train-shared", "synth"),
+        ("audio/T0", "train-shared", "synth"),
+        ("manifests/T3.jsonl", "train-ase", "attack"),
+        ("audio/T3", "train-ase", "attack"),
+        ("checkpoints/e0.json", "train-ase", "train-shared"),
+        ("checkpoints/ase_T3.json", "train-fusion", "train-ase"),
+        ("checkpoints/fusion_top1.json", "evaluate", "train-fusion"),
+        ("scores/E0__T0.json", "report", "evaluate"),
+    ])
+    def test_missing_input_names_its_writer(self, tiny_root, tmp_path, capsys, rel, command,
+                                            writer):
+        out = copy_root(tiny_root, tmp_path)
+        missing = out / rel
+        if missing.is_dir():
+            shutil.rmtree(missing)
+        else:
+            missing.unlink()
+        capsys.readouterr()
+        assert cli.main(["--config", tiny_root[0], "--out", str(out), command]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {missing} not found; run `amulet {writer}` first",
+        ]
+
+
 class TestChunkedScoring:
     def test_chunks_score_bitwise_as_single_clips(self, tmp_path, monkeypatch):
         """`evaluate` stacks `INFERENCE_CHUNK` clips per inference graph; every
@@ -603,7 +723,7 @@ class TestChunkedScoring:
             write_wav(root / rel, AudioClip(0.4 * rng.standard_normal(160 * frames), 16000))
             entries.append(corpus.ManifestEntry(f"c{i}", label, "eval", "T0", i, path=rel))
         pipe = cli.Pipeline(config, root)
-        monkeypatch.setattr(pipe, "load_manifest", lambda condition: corpus.Manifest(entries))
+        monkeypatch.setattr(corpus, "load_manifest", lambda path: corpus.Manifest(entries))
         assert ex.INFERENCE_CHUNK == 4
 
         for renormalize in (False, True):
@@ -650,7 +770,7 @@ class TestRunStages:
                 ran.append(i)
                 out.write_text(f"stage {i}")
 
-            stages.append((f"fake-{i}", [out], fn))
+            stages.append((f"fake-{i}", [], [out], fn))
         return stages
 
     @pytest.mark.parametrize("jobs", [1, 64])
@@ -678,7 +798,8 @@ class TestRunStages:
             "[fake-4] running", "[fake-4] done",
         ]
         fresh = cli.Pipeline(config, root, log=lambda msg: None)
-        assert all(fresh.stage_cached(name, watched) for name, watched, _ in stages)
+        assert all(fresh.stage_cached(name, inputs + outputs)
+                   for name, inputs, outputs, _ in stages)
 
         ran.clear()
         assert pipe.run_stages(stages, lambda: prepared.append(1)) == [False] * 5

