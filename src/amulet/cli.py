@@ -10,12 +10,13 @@ state file, takes one `stat` per watched path (walking the directories among
 them) and hashes the files; it parses no artifact, since stages load their
 manifests and checkpoints only when they run. Watched paths are strings
 under the output root. Within one `Pipeline` (one command), each watched
-file is hashed at most once: its sha256 is kept in memory until stages run,
-and a kept digest stands in for the file's `stat`. Stages run in batches
-(`Pipeline.run_stages`); all kept digests are dropped before a batch runs,
-before each of its stages is recorded and after the batch, since a stage
-that runs may rewrite any file. Nothing of it is stored, so every command
-hashes every file it watches again.
+file is hashed and each watched directory walked at most once: its sha256
+or its listing is kept in memory until stages run, and stands in for the
+path's `stat`. Stages run in batches (`Pipeline.run_stages`); all kept
+digests and listings are dropped before a batch runs, before each of its
+stages is recorded and after the batch, since a stage that runs may rewrite
+any file. Nothing of it is stored, so every command hashes every file it
+watches again.
 
 Independent work runs on `--jobs` forked worker processes
 (`Pipeline._map`): the attacked conditions, the attack-specific experts, the
@@ -121,6 +122,7 @@ class Pipeline:
         self._log = log if log is not None else (lambda msg: print(msg, flush=True))
         self._fingerprint = config.fingerprint()
         self._digests = {}  # file path -> sha256; emptied whenever a stage runs
+        self._listings = {}  # directory path -> `_expand` of it; emptied with the digests
 
     def log(self, stage: str, message: str) -> None:
         self._log(f"[{stage}] {message}")
@@ -141,8 +143,9 @@ class Pipeline:
 
     def _expand(self, paths) -> dict:
         """{path relative to the root: path} of every existing file among
-        `paths`, directories expanded recursively, with one `stat` per path
-        whose digest is not kept (a kept one is a file that exists)."""
+        `paths`, directories expanded recursively. A path takes one `stat`
+        unless its digest or listing is kept (a kept digest is a file that
+        exists), and a directory is walked once until stages run."""
         files = {}
         for path in paths:
             path = os.fspath(path)
@@ -150,14 +153,18 @@ class Pipeline:
             if path in self._digests:
                 files[rel] = path
                 continue
-            try:
-                mode = os.stat(path).st_mode
-            except OSError:  # missing, as `os.path.exists` sees it
-                continue
-            if stat.S_ISDIR(mode):
-                _walk(path, rel, files)
-            else:
-                files[rel] = path
+            listing = self._listings.get(path)
+            if listing is None:
+                try:
+                    mode = os.stat(path).st_mode
+                except OSError:  # missing, as `os.path.exists` sees it
+                    continue
+                if not stat.S_ISDIR(mode):
+                    files[rel] = path
+                    continue
+                listing = self._listings[path] = {}
+                _walk(path, rel, listing)
+            files.update(listing)
         return files
 
     def _tree_hashes(self, paths) -> dict:
@@ -209,8 +216,8 @@ class Pipeline:
         stages of one batch must be independent: no stage may write a file
         that another stage of the batch watches, since they run
         concurrently. Any of them may rewrite other files, so the digests
-        kept so far are dropped before the batch, before each record and
-        after the batch."""
+        and listings kept so far are dropped before the batch, before each
+        record and after the batch."""
         stale = [not self.stage_cached(name, inputs + outputs)
                  for name, inputs, outputs, _ in stages]
         if not any(stale):
@@ -221,12 +228,14 @@ class Pipeline:
                    for path in inputs if not os.path.exists(path)]
         if missing:
             path = os.fspath(missing[0])
-            raise MissingArtifactError(f"{path} not found; run `amulet {self._writer(path)}` first")
+            rel = self._rel(path).replace(os.sep, "/")
+            writer = next(writer for prefix, writer in _WRITERS if rel.startswith(prefix))
+            raise MissingArtifactError(f"{path} not found; run `amulet {writer}` first")
         if prepare is not None:
             prepare()
         thunks = [self._stage_thunk(name, fn)
                   for (name, *_, fn), run in zip(stages, stale) if run]
-        self._digests.clear()
+        self._forget()
         try:
             with closing(self._map(thunks)) as results:
                 for (name, inputs, outputs, _), run in zip(stages, stale):
@@ -234,17 +243,17 @@ class Pipeline:
                         self.log(name, "skipped (outputs up to date)")
                         continue
                     next(results)
-                    self._digests.clear()
+                    self._forget()
                     self.record_stage(name, inputs + outputs)
                     self.log(name, "done")
         finally:
-            self._digests.clear()
+            self._forget()
         return stale
 
-    def _writer(self, path: str) -> str:
-        """The command that writes stage input `path`."""
-        rel = self._rel(path).replace(os.sep, "/")
-        return next(writer for prefix, writer in _WRITERS if rel.startswith(prefix))
+    def _forget(self) -> None:
+        """Drop the kept digests and listings: a running stage may rewrite any file."""
+        self._digests.clear()
+        self._listings.clear()
 
     def _stage_thunk(self, name: str, fn):
         def run():

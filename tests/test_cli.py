@@ -482,23 +482,28 @@ class TestStageCache:
     def test_rewrite_by_a_running_stage_is_seen(self, tmp_path, monkeypatch):
         root = tmp_path / "out"
         config = validate_config(micro_config(root))
-        shared = root / "shared.bin"
-        shared.parent.mkdir(parents=True)
+        shared, folder = root / "shared.bin", root / "folder"
+        folder.mkdir(parents=True)
         shared.write_bytes(b"old")
         first = cli.Pipeline(config, root, log=lambda msg: None)
-        assert first.run_stage("reader-a", [shared], [], lambda: None)
-        assert first.run_stage("reader-c", [shared], [], lambda: None)
+        assert first.run_stage("reader-a", [shared, folder], [], lambda: None)
+        assert first.run_stage("reader-c", [shared, folder], [], lambda: None)
+
+        def write():
+            shared.write_bytes(b"new")
+            (folder / "added.bin").write_bytes(b"added")
 
         hashed = counting_hashes(monkeypatch)
         pipe = cli.Pipeline(config, root, log=lambda msg: None)
-        assert pipe.stage_cached("reader-a", [shared])
+        assert pipe.stage_cached("reader-a", [shared, folder])
         assert hashed[str(shared)] == 1  # the digest of b"old" is kept
-        assert pipe.run_stage("writer-b", [], [root / "b.out"],
-                              lambda: shared.write_bytes(b"new"))
-        # reader-c recorded b"old": the kept digest must not stand in for the file
-        assert pipe.run_stage("reader-c", [shared], [], lambda: None)
+        assert pipe.run_stage("writer-b", [], [root / "b.out"], write)
+        # reader-c recorded b"old" and an empty folder: neither the kept
+        # digest nor the kept listing may stand in for the files
+        assert pipe.run_stage("reader-c", [shared, folder], [], lambda: None)
         assert json.loads((root / "state" / "reader-c.json").read_text())["files"] == {
-            "shared.bin": sha256_file(shared)
+            "shared.bin": sha256_file(shared),
+            str(Path("folder", "added.bin")): sha256_file(folder / "added.bin"),
         }
 
     def test_state_format_is_pinned(self, trained_bank):
