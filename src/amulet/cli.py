@@ -12,11 +12,13 @@ manifests and checkpoints only when they run. Watched paths are strings
 under the output root. Within one `Pipeline` (one command), each watched
 file is hashed and each watched directory walked at most once: its sha256
 or its listing is kept in memory until stages run, and stands in for the
-path's `stat`. Stages run in batches (`Pipeline.run_stages`); all kept
-digests and listings are dropped before a batch runs, before each of its
-stages is recorded and after the batch, since a stage that runs may rewrite
-any file. Nothing of it is stored, so every command hashes every file it
-watches again.
+path's `stat`. Stages run in batches (`Pipeline.run_stages`). No stage of a
+batch may write what another stage of it watches, so only the digests and
+listings under the running stages' outputs are dropped before a batch runs
+and before each of its stages is recorded, and inputs the stages share are
+hashed once per batch; all of them are dropped after the batch, since a
+stage may rewrite files outside its outputs. Nothing of it is stored, so
+every command hashes every file it watches again.
 
 Independent work runs on `--jobs` forked worker processes
 (`Pipeline._map`): the attacked conditions, the attack-specific experts, the
@@ -121,7 +123,7 @@ class Pipeline:
         self.jobs = max(1, jobs)
         self._log = log if log is not None else (lambda msg: print(msg, flush=True))
         self._fingerprint = config.fingerprint()
-        self._digests = {}  # file path -> sha256; emptied whenever a stage runs
+        self._digests = {}  # file path -> sha256; emptied after each batch of stages
         self._listings = {}  # directory path -> `_expand` of it; emptied with the digests
 
     def log(self, stage: str, message: str) -> None:
@@ -215,9 +217,12 @@ class Pipeline:
         logged and recorded here, in order, as its result arrives. The
         stages of one batch must be independent: no stage may write a file
         that another stage of the batch watches, since they run
-        concurrently. Any of them may rewrite other files, so the digests
-        and listings kept so far are dropped before the batch, before each
-        record and after the batch."""
+        concurrently. So the digests and listings kept from the cache
+        checks stay valid while the batch runs, except those under the
+        running stages' outputs, which are dropped before the batch and
+        before each record. A stage may still rewrite a file outside its
+        outputs that a later batch watches, so all of them are dropped
+        after the batch."""
         stale = [not self.stage_cached(name, inputs + outputs)
                  for name, inputs, outputs, _ in stages]
         if not any(stale):
@@ -235,7 +240,9 @@ class Pipeline:
             prepare()
         thunks = [self._stage_thunk(name, fn)
                   for (name, *_, fn), run in zip(stages, stale) if run]
-        self._forget()
+        written = [os.fspath(path) for (_, _, outputs, _), run in zip(stages, stale) if run
+                   for path in outputs]
+        self._forget(written)
         try:
             with closing(self._map(thunks)) as results:
                 for (name, inputs, outputs, _), run in zip(stages, stale):
@@ -243,17 +250,25 @@ class Pipeline:
                         self.log(name, "skipped (outputs up to date)")
                         continue
                     next(results)
-                    self._forget()
+                    self._forget(written)
                     self.record_stage(name, inputs + outputs)
                     self.log(name, "done")
         finally:
             self._forget()
         return stale
 
-    def _forget(self) -> None:
-        """Drop the kept digests and listings: a running stage may rewrite any file."""
-        self._digests.clear()
-        self._listings.clear()
+    def _forget(self, paths=None) -> None:
+        """Drop the kept digests and listings of `paths` and of everything
+        under them, or all of them when `paths` is None."""
+        if paths is None:
+            self._digests.clear()
+            self._listings.clear()
+            return
+        exact = set(paths)
+        under = tuple(path + os.sep for path in exact)
+        for kept in (self._digests, self._listings):
+            for path in [p for p in kept if p in exact or p.startswith(under)]:
+                del kept[path]
 
     def _stage_thunk(self, name: str, fn):
         def run():

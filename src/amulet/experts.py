@@ -285,12 +285,11 @@ def encoder_forward(model, leaves, x: tc.Node, frames, dropout_rngs=None, layer0
     h = x
     xw0, xa0 = layer0 if layer0 is not None else (None, None)
     for i in range(model.n_layers):
-        w = leaves[f"enc.w{i}"]
+        w, b = leaves[f"enc.w{i}"], leaves[f"enc.b{i}"]
         if i == 0 and xw0 is not None and not w.needs_grad:
-            base = xw0
+            pre = tc.add(xw0, b, frames)
         else:
-            base = tc.matmul(h, w, frames)
-        pre = tc.add(base, leaves[f"enc.b{i}"], frames)
+            pre = tc.linear(h, w, b, frames)
         if model.has_adapters:
             lora = model.lora
             a = leaves[f"lora.a{i}"]
@@ -325,7 +324,7 @@ def expert_logits(leaves, z: tc.Node, frames) -> tc.Node:
     contrast = tc.log_shift(tc.std_rows(mag, segments=frames), POOL_LOG_EPS)
     motion = tc.log_shift(tc.mean_rows(tc.absval(tc.diff_rows(mag, frames)), steps), POOL_LOG_EPS)
     pooled = tc.scale(tc.hconcat(contrast, motion), POOL_LOG_GAIN)
-    return tc.add(tc.matmul(pooled, leaves["head.w"], rows), leaves["head.b"], rows)
+    return tc.linear(pooled, leaves["head.w"], leaves["head.b"], rows)
 
 
 def loss_nodes(model, leaves, feats, labels, dropout_rngs=None, layer0=None) -> tc.Node:

@@ -148,16 +148,15 @@ def fused_logits(system: FusionSystem, leaves, zs, frames) -> tc.Node:
     the bank features `zs` and row segments `frames` that `expert_features`
     returns. Gradients reach the selected gate scores only."""
     rows = tc.row_segments([1] * len(frames))
-    glogits = tc.add(tc.matmul(tc.mean_rows(zs[0], frames), leaves["gate.w"], rows),
-                     leaves["gate.b"], rows)
+    glogits = tc.linear(tc.mean_rows(zs[0], frames), leaves["gate.w"], leaves["gate.b"], rows)
     mixed = tc.topk_mix(tc.softmax_rows(glogits), [z.value for z in zs[1:]], system.k,
                         system.renormalize, frames)
     fused = tc.layer_norm(tc.add(mixed, zs[0]), leaves["ln.g"], leaves["ln.b"], LN_EPS, frames)
     att = tc.matmul(fused, leaves["pool.a"], frames)
     pooled = tc.attention_pool(att, fused, frames)
     proj = tc.matmul(pooled, leaves["pool.proj"], rows)
-    hidden = tc.tanh(tc.add(tc.matmul(proj, leaves["cls.w1"], rows), leaves["cls.b1"], rows))
-    return tc.add(tc.matmul(hidden, leaves["cls.w2"], rows), leaves["cls.b2"], rows)
+    hidden = tc.tanh(tc.linear(proj, leaves["cls.w1"], leaves["cls.b1"], rows))
+    return tc.linear(hidden, leaves["cls.w2"], leaves["cls.b2"], rows)
 
 
 def stack_features(z_alls) -> tuple:

@@ -3,8 +3,11 @@
 A small define-by-run graph: every operation returns a `Node` holding its
 value (an immutable 2-D float64 array) plus a closure that routes the
 incoming gradient to the node's parents. The operation set is exactly what
-the encoder / gate / head stack needs; there is no broadcasting beyond
-row-wise vector ops and no dtype other than float64.
+the encoder / gate / head stack needs (`matmul`, `linear`, `add`, `mul`,
+`scale`, `tanh`, `mean_rows`, `std_rows`, `pair_magnitude`, `diff_rows`,
+`absval`, `hconcat`, `log_shift`, `softmax_rows`, `layer_norm`,
+`cross_entropy`, `attention_pool`, `topk_mix`); there is no broadcasting
+beyond row-wise vector ops and no dtype other than float64.
 
 Matrix products accumulate over the inner index in increasing order, so the
 result is bitwise identical to a naive triple loop. `np.einsum` happens to
@@ -26,6 +29,12 @@ constants, frozen leaves and every node off the gradient's path hold none;
 their `.grad` reads zeros. `backward` releases an interior node's buffer once
 its push has passed the gradient on, so afterwards only leaves hold one.
 
+A layer's `x@W + b` is one `linear` node, bitwise `add(matmul(x, W), b)` in
+value and gradients: no push reads the product `x@W`, so the graph keeps
+only the sum. Its finiteness check is on the sum, which catches whatever a
+check on the product caught, since every caller's bias is a leaf and leaves
+are checked: a finite bias turns no non-finite product finite.
+
 A node needs a gradient when it is a leaf that requires one or has a parent
 that needs one. An op result that needs none keeps its value only (no
 parents, no push, no 2-D or finiteness check), so graph functions run on
@@ -40,10 +49,11 @@ norm, row softmax) runs once over the stack; it is bitwise the per-clip
 work, since no row reads another. Ops that take `segments` keep per clip
 what a per-clip graph did per clip: reductions over one clip's rows
 (`std_rows`, `mean_rows`, `diff_rows`, `attention_pool`, `topk_mix`), and
-the gradient of a tensor that every clip shares (the weight of `matmul`, the
-row of a broadcast `add`, the gain and bias of `layer_norm`), which takes
-one product or row sum per clip and adds them from the last clip to the
-first: the order in which a sum of per-clip graphs delivers them.
+the gradient of a tensor that every clip shares (the weight of `matmul` and
+`linear`, the row of a broadcast `add` and the bias of `linear`, the gain
+and bias of `layer_norm`), which takes one product or row sum per clip and
+adds them from the last clip to the first: the order in which a sum of
+per-clip graphs delivers them.
 `cross_entropy` folds the per-clip losses in batch order and scales by one
 over the batch size, as that sum did.
 """
@@ -213,35 +223,73 @@ def matmul(a: Node, b: Node, segments=None) -> Node:
     value = matmul_values(a.value, b.value)
 
     def push(g):
-        if a.needs_grad:
-            _acc(a, matmul_values(g, b.value.T))
-        if b.needs_grad:
-            for seg in reversed(_segments(segments, a.value)):
-                _acc(b, matmul_values(a.value[seg].T, g[seg]))
+        _push_product(a, b, g, segments)
 
     return Node(value, (a, b), "matmul", push=push)
+
+
+def _push_product(a: Node, b: Node, g: np.ndarray, segments) -> None:
+    """Route the gradient `g` of a @ b: g @ b.T to a, then one a_c.T @ g_c
+    per segment to b, last segment first."""
+    if a.needs_grad:
+        _acc(a, matmul_values(g, b.value.T))
+    if b.needs_grad:
+        for seg in reversed(_segments(segments, a.value)):
+            _acc(b, matmul_values(a.value[seg].T, g[seg]))
+
+
+def _broadcasts(a_shape, b_shape, op: str) -> bool:
+    """Whether `add` broadcasts a 1xN row b over a's rows; raises on shapes
+    it cannot add."""
+    broadcast = b_shape[0] == 1 and a_shape[0] != 1
+    if not broadcast and a_shape != b_shape:
+        raise ShapeError(f"{op} shapes disagree: {a_shape} vs {b_shape}")
+    if broadcast and a_shape[1] != b_shape[1]:
+        raise ShapeError(f"row-broadcast {op} needs matching columns: {a_shape} vs {b_shape}")
+    return broadcast
+
+
+def _push_addend(b: Node, g: np.ndarray, broadcast: bool, segments, value) -> None:
+    """Route an add's gradient `g` to its addend b: `g` itself, or for a
+    broadcast row one row sum per segment of `value`, last segment first."""
+    if not broadcast:
+        _acc(b, g)
+        return
+    for seg in reversed(_segments(segments, value)):
+        _acc(b, g[seg].sum(axis=0, keepdims=True))
 
 
 def add(a: Node, b: Node, segments=None) -> Node:
     """Elementwise add; b may be a 1xN row vector broadcast over a's rows,
     whose gradient is then one row sum per segment, last segment first."""
-    broadcast = b.value.shape[0] == 1 and a.value.shape[0] != 1
-    if not broadcast and a.value.shape != b.value.shape:
-        raise ShapeError(f"add shapes disagree: {a.value.shape} vs {b.value.shape}")
-    if broadcast and a.value.shape[1] != b.value.shape[1]:
-        raise ShapeError(f"row-broadcast add needs matching columns: {a.value.shape} vs {b.value.shape}")
+    broadcast = _broadcasts(a.value.shape, b.value.shape, "add")
     value = a.value + b.value
 
     def push(g):
         if a.needs_grad:
             _acc(a, g)
-        if b.needs_grad and not broadcast:
-            _acc(b, g)
-        elif b.needs_grad:
-            for seg in reversed(_segments(segments, a.value)):
-                _acc(b, g[seg].sum(axis=0, keepdims=True))
+        if b.needs_grad:
+            _push_addend(b, g, broadcast, segments, a.value)
 
     return Node(value, (a, b), "add", push=push)
+
+
+def linear(a: Node, w: Node, bias: Node, segments=None) -> Node:
+    """a @ w + bias as one node: bitwise `add(matmul(a, w, segments), bias,
+    segments)` in value and every gradient, without keeping the product,
+    which no gradient reads. The push passes `g` itself to both products:
+    the same bits as the `g + 0.0` copy a product node of its own would
+    receive, since `_acc` never leaves a -0.0 in a buffer."""
+    value = matmul_values(a.value, w.value)
+    broadcast = _broadcasts(value.shape, bias.value.shape, "linear")
+    value += bias.value
+
+    def push(g):
+        if bias.needs_grad:
+            _push_addend(bias, g, broadcast, segments, value)
+        _push_product(a, w, g, segments)
+
+    return Node(value, (a, w, bias), "linear", push=push)
 
 
 def mul(a: Node, b: Node) -> Node:

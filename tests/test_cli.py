@@ -506,6 +506,31 @@ class TestStageCache:
             str(Path("folder", "added.bin")): sha256_file(folder / "added.bin"),
         }
 
+    def test_shared_input_hashed_once_per_batch(self, tmp_path, monkeypatch):
+        """No stage of a batch may write what another watches, so the input
+        three stages share is hashed once for the whole batch; each stage's
+        own outputs are hashed at its cache check and again at its record."""
+        root = tmp_path / "out"
+        config = validate_config(micro_config(root))
+        shared = root / "shared.bin"
+        root.mkdir(parents=True)
+        shared.write_bytes(b"shared")
+        outputs = [root / f"{name}.out" for name in "abc"]
+        stages = [(f"stage-{out.stem}", [shared], [out], lambda out=out: out.write_bytes(b"new"))
+                  for out in outputs]
+        assert cli.Pipeline(config, root, log=lambda msg: None).run_stages(stages)
+        for out in outputs:
+            out.write_bytes(b"old")  # each cache check hashes, and finds its stage stale
+        hashed = counting_hashes(monkeypatch)
+        pipe = cli.Pipeline(config, root, log=lambda msg: None)
+        assert pipe.run_stages(stages) == [True, True, True]
+        assert hashed[str(shared)] == 1
+        assert [hashed[str(out)] for out in outputs] == [2, 2, 2]
+        for out in outputs:
+            state = json.loads((root / "state" / f"stage-{out.stem}.json").read_text())
+            assert state["files"] == {"shared.bin": sha256_file(shared),
+                                      out.name: sha256_file(out)}
+
     def test_state_format_is_pinned(self, trained_bank):
         """`state/<stage>.json` is canonical JSON of the config fingerprint and
         the sha256 of every watched file, so roots cached by earlier versions

@@ -333,6 +333,38 @@ class TestBatchedLoss:
                                      dropout=True, cached=True)
 
 
+class TestGraphSize:
+    """A layer's graph keeps no `x@W` product: backward never reads it."""
+
+    # distinct widths, so a node's shape names its layer; the rank and the
+    # pair-magnitude width (4) differ from them too
+    CFG = ex.EncoderConfig(frame_len=12, hop=12, hidden_dims=(6, 10, 8))
+    RANK = 2
+
+    @classmethod
+    def per_layer(cls, model):
+        """Per encoder layer, the nodes of a 4-clip batch's loss graph whose
+        value is (rows x that layer's width)."""
+        rng = np.random.default_rng(40)
+        feats = [rng.standard_normal((t, cls.CFG.frame_len)) for t in (5, 3, 7, 4)]
+        rows = sum(f.shape[0] for f in feats)
+        loss = ex.loss_nodes(model, ex.make_leaves(model), feats, TestBatchedLoss.LABELS)
+        shapes = [node.value.shape for node in tc.topo_order(loss)]
+        return [shapes.count((rows, n)) for _, n in cls.CFG.layer_dims]
+
+    def test_layer_holds_its_sum_and_activation(self):
+        assert len(set(self.CFG.hidden_dims) | {self.CFG.frame_len, self.RANK, 4}) == 6
+        e0 = ex.new_expert(self.CFG, 41)
+        # x@W + b and its tanh, and no node for the product x@W
+        assert self.per_layer(e0) == [2] * e0.n_layers
+        ase = ex.lora_inject(e0, ex.LoraConfig(self.RANK, 4.0, 0.0), seed=42)
+        # x@W + b, (x@A)@B, its scaled copy, the sum of the two and tanh; a
+        # product node would be a sixth wherever the layer's input needs a
+        # gradient (layer 0's input is a constant and its W and b frozen, so
+        # its x@W + b needs none and keeps no parents)
+        assert self.per_layer(ase) == [5] * ase.n_layers
+
+
 class TestFitAgainstPerClipTrainer:
     """Several epochs of `fit`, three minibatches each (the last one short),
     against the trainer that built one graph per clip."""

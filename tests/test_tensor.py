@@ -89,6 +89,81 @@ class TestMatmul:
         assert np.array_equal(tc.matmul_values(a, b), matmul_triple_loop(a, b))
 
 
+class TestLinear:
+    """`linear` against the composition it replaces, bit for bit."""
+
+    @staticmethod
+    def values(rng, shape):
+        """Normal draws with about a quarter of the entries zeros of either sign."""
+        v = rng.standard_normal(shape)
+        zeros = rng.random(shape) < 0.25
+        return np.where(zeros, np.where(rng.random(shape) < 0.5, 0.0, -0.0), v)
+
+    @settings(max_examples=200, deadline=None)
+    @given(counts=st.lists(st.integers(0, 3), min_size=1, max_size=4), k=dims(0, 5),
+           n=dims(0, 10), grads=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+           segmented=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(counts=[0], k=3, n=2, grads=(True, True, True), segmented=True, seed=1)
+    @example(counts=[2, 3], k=0, n=0, grads=(True, True, True), segmented=True, seed=2)
+    @example(counts=[1], k=4, n=9, grads=(True, False, True), segmented=False, seed=3)
+    def test_bitwise_the_add_of_a_matmul(self, counts, k, n, grads, segmented, seed):
+        rng = np.random.default_rng(seed)
+        rows = sum(counts)
+        a, w, bias = (self.values(rng, shape) for shape in ((rows, k), (k, n), (1, n)))
+        weights, other = self.values(rng, (rows, n)), self.values(rng, (rows, k))
+        segments = tc.row_segments(counts) if segmented else None
+
+        def run(layer):
+            leaves = [tc.leaf(v, requires_grad=g) for v, g in zip((a, w, bias), grads)]
+            out = layer(*leaves)
+            # a second use of `a` fixes the order in which its gradients arrive
+            loss = tc.add(sum_all(tc.mul(out, tc.constant(weights))),
+                          sum_all(tc.mul(leaves[0], tc.constant(other))))
+            tc.backward(loss)
+            return out, loss, leaves
+
+        out, loss, leaves = run(lambda x, m, b: tc.linear(x, m, b, segments))
+        ref_out, ref_loss, ref_leaves = run(
+            lambda x, m, b: tc.add(tc.matmul(x, m, segments), b, segments))
+        assert out.value.tobytes() == ref_out.value.tobytes()
+        # the layout too: a row sum's rounding depends on it
+        layout = [(v.flags.c_contiguous, v.flags.f_contiguous) for v in (out.value, ref_out.value)]
+        assert layout[0] == layout[1]
+        assert loss.value.tobytes() == ref_loss.value.tobytes()
+        for leaf, ref in zip(leaves, ref_leaves):
+            assert leaf.grad.tobytes() == ref.grad.tobytes()
+
+    def test_frozen_weight_gets_no_product(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        x = tc.leaf(rng.standard_normal((3, 4)), requires_grad=True)
+        w = tc.leaf(rng.standard_normal((4, 2)), requires_grad=False)
+        b = tc.leaf(rng.standard_normal((1, 2)), requires_grad=True)
+        out = sum_all(tc.linear(x, w, b))
+        calls = []
+        real = tc.matmul_values
+
+        def counting(a, b):
+            calls.append((a.shape, b.shape))
+            return real(a, b)
+
+        monkeypatch.setattr(tc, "matmul_values", counting)
+        tc.backward(out)
+        assert calls == [((3, 2), (2, 4))]  # g @ W.T only; no x.T @ g for the frozen W
+        assert np.array_equal(x.grad, real(np.ones((3, 2)), w.value.T))
+        assert np.array_equal(w.grad, np.zeros((4, 2)))
+        assert np.array_equal(b.grad, np.full((1, 2), 3.0))
+
+    def test_one_node_over_the_operands(self):
+        x, w = tc.leaf(np.ones((3, 4)), True), tc.leaf(np.ones((4, 2)), True)
+        b = tc.leaf(np.ones((1, 2)), True)
+        out = tc.linear(x, w, b)
+        assert out.parents == (x, w, b) and out.op == "linear"
+        with pytest.raises(tc.ShapeError):
+            tc.linear(x, w, tc.leaf(np.ones((1, 3)), True))
+        with pytest.raises(tc.ShapeError):
+            tc.linear(x, tc.leaf(np.ones((3, 2)), True), b)
+
+
 class TestLayerNorm:
     def test_constant_row_returns_bias(self):
         x = np.array([[5.0, 5.0, 5.0]])
@@ -379,9 +454,12 @@ class TestGradientFreeNodes:
         bias = tc.constant(rng.normal(0.0, 0.1, (1, 4)))
         gate = tc.constant(rng.standard_normal((4, 3)))
         tracks = [rng.standard_normal((7, 4)) for _ in range(3)]
+        w_bias = tc.constant(rng.normal(0.0, 0.1, (1, 6)))
         return [
             ("matmul", lambda x: tc.matmul(x, w, segs)),
             ("matmul right", lambda x: tc.matmul(left, x)),
+            ("linear", lambda x: tc.linear(x, w, w_bias, segs)),
+            ("linear weight", lambda x: tc.linear(left, x, bias)),
             ("add", lambda x: tc.add(x, other)),
             ("add row", lambda x: tc.add(other, tc.mean_rows(x), segs)),
             ("mul", lambda x: tc.mul(x, other)),
