@@ -10,9 +10,10 @@ state file, takes one `stat` per watched path (walking the directories among
 them) and hashes the files; it parses no artifact, since stages load their
 manifests and checkpoints only when they run. Watched paths are strings
 under the output root. Within one `Pipeline` (one command), each watched
-file is hashed and each watched directory walked at most once: its sha256
-or its listing is kept in memory until stages run, and stands in for the
-path's `stat`. Stages run in batches (`Pipeline.run_stages`). No stage of a
+file is hashed and each watched directory walked once per batch of stages
+that runs, and once in all when every stage skips: its sha256 or its
+listing is kept in memory until stages run, and stands in for the path's
+`stat`. Stages run in batches (`Pipeline.run_stages`). No stage of a
 batch may write what another stage of it watches, so only the digests and
 listings under the running stages' outputs are dropped before a batch runs
 and before each of its stages is recorded, and inputs the stages share are
@@ -66,9 +67,23 @@ class MissingArtifactError(RuntimeError):
     pass
 
 
+# Bytes per read when hashing a watched file; every WAV and all but the
+# largest checkpoints fit in one read.
+_HASH_READ = 1 << 18
+
+
 def _hash_file(path) -> str:
-    with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
+    """sha256 of a file's bytes, read with plain system calls: a buffered
+    file object adds a few microseconds per file, and most watched files
+    are small."""
+    digest = hashlib.sha256()
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        while chunk := os.read(fd, _HASH_READ):
+            digest.update(chunk)
+    finally:
+        os.close(fd)
+    return digest.hexdigest()
 
 
 def _walk(top: str, rel: str, files: dict) -> None:
@@ -578,7 +593,9 @@ class Pipeline:
 
     def _score_condition(self, bank, fused, condition: str) -> tuple:
         """Score every eval clip of `condition` with every system. Returns
-        the clip count and {system: (bona-fide scores, spoof scores)}."""
+        the clip count and {system: (bona-fide scores, spoof scores)}.
+        Inference graphs check no value, so a non-finite logit row raises
+        `NonFiniteError` here, before it can reach a score file."""
         manifest = corpus.load_manifest(self.manifest_path(condition))
         entries = sorted(manifest.split("eval"), key=lambda e: e.clip_id)
         if not entries:
@@ -595,6 +612,12 @@ class Pipeline:
             logits["ensemble"] = fusion.ensemble_logits(list(logits.values()))
             for name, system in fused.items():
                 logits[name] = fusion.fused_logits(system, fused_leaves[name], zs, frames).value
+            for name, rows in logits.items():
+                finite = np.isfinite(rows).all(axis=1)
+                if not finite.all():
+                    clip_id = chunk[int(np.argmin(finite))].clip_id
+                    raise NonFiniteError(f"{name} gave non-finite logits for {condition} clip "
+                                         f"{clip_id}")
             for r, entry in enumerate(chunk):
                 slot = 0 if entry.label == "bonafide" else 1
                 for name, rows in logits.items():

@@ -288,6 +288,9 @@ def encoder_forward(model, leaves, x: tc.Node, frames, dropout_rngs=None, layer0
         w, b = leaves[f"enc.w{i}"], leaves[f"enc.b{i}"]
         if i == 0 and xw0 is not None and not w.needs_grad:
             pre = tc.add(xw0, b, frames)
+        elif not model.has_adapters:  # nothing joins x@W + b before its tanh
+            h = tc.dense(h, w, b, frames)
+            continue
         else:
             pre = tc.linear(h, w, b, frames)
         if model.has_adapters:

@@ -155,7 +155,7 @@ def fused_logits(system: FusionSystem, leaves, zs, frames) -> tc.Node:
     att = tc.matmul(fused, leaves["pool.a"], frames)
     pooled = tc.attention_pool(att, fused, frames)
     proj = tc.matmul(pooled, leaves["pool.proj"], rows)
-    hidden = tc.tanh(tc.linear(proj, leaves["cls.w1"], leaves["cls.b1"], rows))
+    hidden = tc.dense(proj, leaves["cls.w1"], leaves["cls.b1"], rows)
     return tc.linear(hidden, leaves["cls.w2"], leaves["cls.b2"], rows)
 
 

@@ -54,6 +54,9 @@ def compute_eer(scores: ScoreSet) -> EerResult:
     spoof = np.asarray(scores.spoof_scores, dtype=np.float64)
     if bona.size == 0 or spoof.size == 0:
         raise ScoreSetError("EER needs scores from both classes")
+    if not (np.isfinite(bona).all() and np.isfinite(spoof).all()):
+        raise ScoreSetError(f"non-finite score in {scores.system or 'a score set'} "
+                            f"{scores.condition}".rstrip())
     bona_sorted = np.sort(bona)
     spoof_sorted = np.sort(spoof)
     all_scores = np.concatenate([bona, spoof])

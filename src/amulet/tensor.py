@@ -3,9 +3,9 @@
 A small define-by-run graph: every operation returns a `Node` holding its
 value (an immutable 2-D float64 array) plus a closure that routes the
 incoming gradient to the node's parents. The operation set is exactly what
-the encoder / gate / head stack needs (`matmul`, `linear`, `add`, `mul`,
-`scale`, `tanh`, `mean_rows`, `std_rows`, `pair_magnitude`, `diff_rows`,
-`absval`, `hconcat`, `log_shift`, `softmax_rows`, `layer_norm`,
+the encoder / gate / head stack needs (`matmul`, `linear`, `dense`, `add`,
+`mul`, `scale`, `tanh`, `mean_rows`, `std_rows`, `pair_magnitude`,
+`diff_rows`, `absval`, `hconcat`, `log_shift`, `softmax_rows`, `layer_norm`,
 `cross_entropy`, `attention_pool`, `topk_mix`); there is no broadcasting
 beyond row-wise vector ops and no dtype other than float64.
 
@@ -27,13 +27,21 @@ an explicit loop.
 A node allocates its gradient buffer when the first gradient reaches it, so
 constants, frozen leaves and every node off the gradient's path hold none;
 their `.grad` reads zeros. `backward` releases an interior node's buffer once
-its push has passed the gradient on, so afterwards only leaves hold one.
+its push has passed the gradient on, so afterwards only leaves hold one. A
+first gradient that its push built for this node alone, laid out as the
+node's value, becomes the buffer itself; one the push does not own (its own
+incoming gradient, which `add` hands to both operands, or a slice of it in
+`hconcat`) is copied.
 
 A layer's `x@W + b` is one `linear` node, bitwise `add(matmul(x, W), b)` in
 value and gradients: no push reads the product `x@W`, so the graph keeps
 only the sum. Its finiteness check is on the sum, which catches whatever a
 check on the product caught, since every caller's bias is a leaf and leaves
-are checked: a finite bias turns no non-finite product finite.
+are checked: a finite bias turns no non-finite product finite. A layer's
+`tanh(x@W + b)` is one `dense` node, bitwise `tanh(linear(x, W, b))`: no
+push reads the sum either, so an E0 encoder layer keeps one array, its
+activation. Since tanh turns an infinity finite, `dense` checks the sum on
+a gradient's path as `linear` does.
 
 A node needs a gradient when it is a leaf that requires one or has a parent
 that needs one. An op result that needs none keeps its value only (no
@@ -203,18 +211,24 @@ def constant(value) -> Node:
     return Node(as_matrix(value))
 
 
-def _acc(node: Node, g: np.ndarray) -> None:
-    """Add `g` to the node's gradient. The first arrival allocates the buffer,
-    laid out as `zeros_like(value)`, and fills it with `g + 0.0`: bitwise
-    `zeros + g`, sign of zero included, and never an alias of `g`.
+def _acc(node: Node, g: np.ndarray, fresh: bool = True) -> None:
+    """Add `g` to the node's gradient. The first arrival's buffer holds
+    `g + 0.0`, laid out as `zeros_like(value)`: bitwise `zeros + g`, sign of
+    zero included. A `fresh` g, built by the push for this call alone, is
+    kept as that buffer when it has the value's shape and strides, with the
+    `+ 0.0` applied in place; any other g is copied, so a buffer the push
+    does not own (its own `g`, or a slice of it) is never aliased.
 
     A push runs only for a node that needs a gradient, so a one-parent push
     calls this unguarded; a push with several parents computes a parent's
     term only when that parent needs a gradient."""
-    if node._grad is None:
-        node._grad = np.add(g, 0.0, out=np.empty_like(node.value))
-    else:
+    if node._grad is not None:
         node._grad += g
+    elif fresh and g.shape == node.value.shape and g.strides == node.value.strides:
+        g += 0.0
+        node._grad = g
+    else:
+        node._grad = np.add(g, 0.0, out=np.empty_like(node.value))
 
 
 def matmul(a: Node, b: Node, segments=None) -> Node:
@@ -253,7 +267,7 @@ def _push_addend(b: Node, g: np.ndarray, broadcast: bool, segments, value) -> No
     """Route an add's gradient `g` to its addend b: `g` itself, or for a
     broadcast row one row sum per segment of `value`, last segment first."""
     if not broadcast:
-        _acc(b, g)
+        _acc(b, g, fresh=False)
         return
     for seg in reversed(_segments(segments, value)):
         _acc(b, g[seg].sum(axis=0, keepdims=True))
@@ -267,7 +281,7 @@ def add(a: Node, b: Node, segments=None) -> Node:
 
     def push(g):
         if a.needs_grad:
-            _acc(a, g)
+            _acc(a, g, fresh=False)
         if b.needs_grad:
             _push_addend(b, g, broadcast, segments, a.value)
 
@@ -290,6 +304,31 @@ def linear(a: Node, w: Node, bias: Node, segments=None) -> Node:
         _push_product(a, w, g, segments)
 
     return Node(value, (a, w, bias), "linear", push=push)
+
+
+def dense(a: Node, w: Node, bias: Node, segments=None) -> Node:
+    """tanh(a @ w + bias) as one node: bitwise `tanh(linear(a, w, bias,
+    segments))` in value, memory layout and every gradient, without keeping
+    the pre-activation, which no gradient reads. On a gradient's path the
+    pre-activation is checked for finiteness, as `linear` checks it, since
+    tanh turns an infinity finite. The push forms `(1 - v*v) * g` in one
+    buffer and adds 0.0 in place: the bits `linear`'s gradient buffer held."""
+    value = matmul_values(a.value, w.value)
+    broadcast = _broadcasts(value.shape, bias.value.shape, "dense")
+    value += bias.value
+    if (a.needs_grad or w.needs_grad or bias.needs_grad) and not np.isfinite(value).all():
+        raise NonFiniteError("non-finite values produced by op 'dense'")
+    np.tanh(value, out=value)
+
+    def push(g):
+        d = 1.0 - value * value
+        d *= g
+        d += 0.0
+        if bias.needs_grad:
+            _push_addend(bias, d, broadcast, segments, value)
+        _push_product(a, w, d, segments)
+
+    return Node(value, (a, w, bias), "dense", push=push)
 
 
 def mul(a: Node, b: Node) -> Node:
@@ -416,9 +455,9 @@ def hconcat(a: Node, b: Node) -> Node:
 
     def push(g):
         if a.needs_grad:
-            _acc(a, g[:, :split])
+            _acc(a, g[:, :split], fresh=False)
         if b.needs_grad:
-            _acc(b, g[:, split:])
+            _acc(b, g[:, split:], fresh=False)
 
     return Node(value, (a, b), "hconcat", push=push)
 

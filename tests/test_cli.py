@@ -9,6 +9,7 @@ import shutil
 from collections import Counter
 from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -407,6 +408,47 @@ class TestBankLoading:
             "error: duplicate cell for ('E0', 'T0')",
         ]
 
+    def test_non_finite_score_in_a_score_file_is_user_error(self, trained_bank, tmp_path,
+                                                            capsys):
+        out = copy_root(trained_bank, tmp_path)
+        args = ["--config", trained_bank[0], "--out", str(out)]
+        assert cli.main(args + ["evaluate"]) == 0
+        score = out / "scores" / "E1__T0.json"
+        data = json.loads(score.read_text())
+        data["bona"][0] = float("nan")
+        score.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert cli.main(args + ["report"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: non-finite score in E1 T0"]
+        assert not list((out / "reports").glob("*.csv"))
+
+    def test_non_finite_logit_is_invariant_violation(self, trained_bank, tmp_path, capsys,
+                                                     monkeypatch):
+        out = copy_root(trained_bank, tmp_path)
+        calls = []
+        real = ex.expert_logits
+
+        def second_call_nan(leaves, z, frames):
+            # the second expert (E1) of the first chunk of the first condition
+            logits = real(leaves, z, frames)
+            calls.append(None)
+            if len(calls) == 2:
+                value = logits.value.copy()
+                value[1, 0] = np.nan
+                return SimpleNamespace(value=value)  # as an unchecked inference node
+            return logits
+
+        monkeypatch.setattr(ex, "expert_logits", second_call_nan)
+        capsys.readouterr()
+        args = ["--config", trained_bank[0], "--out", str(out), "--jobs", "1", "evaluate"]
+        assert cli.main(args) == 2
+        manifest = corpus.load_manifest(out / "manifests" / "T0.jsonl")
+        clip_id = sorted(manifest.split("eval"), key=lambda e: e.clip_id)[1].clip_id
+        assert capsys.readouterr().err.splitlines() == [
+            f"internal invariant violated: E1 gave non-finite logits for T0 clip {clip_id}",
+        ]
+        assert not (out / "scores").exists()
+
     @pytest.mark.parametrize("change", ["adapter", "roster"])
     def test_rewritten_adapter_breaks_fusion_binding(self, trained_bank, tmp_path, capsys,
                                                      change):
@@ -457,6 +499,14 @@ def sha256_file(path) -> str:
 
 
 class TestStageCache:
+    def test_file_hash_is_the_sha256_of_its_bytes(self, tmp_path):
+        rng = np.random.default_rng(7)
+        for size in (0, 1, cli._HASH_READ - 1, cli._HASH_READ, 2 * cli._HASH_READ + 3):
+            path = tmp_path / f"f{size}"
+            path.write_bytes(rng.bytes(size))
+            assert cli._hash_file(path) == sha256_file(path), size
+            assert cli._hash_file(str(path)) == sha256_file(path), size
+
     def test_torn_state_file_is_a_stale_cache(self, tmp_path, capsys, monkeypatch):
         path = write_config(tmp_path, micro_config(tmp_path / "out"))
         state = tmp_path / "out" / "state"

@@ -334,7 +334,8 @@ class TestBatchedLoss:
 
 
 class TestGraphSize:
-    """A layer's graph keeps no `x@W` product: backward never reads it."""
+    """A layer's graph keeps no array that backward never reads: no `x@W`
+    product, and in E0 no pre-activation `x@W + b`."""
 
     # distinct widths, so a node's shape names its layer; the rank and the
     # pair-magnitude width (4) differ from them too
@@ -352,11 +353,11 @@ class TestGraphSize:
         shapes = [node.value.shape for node in tc.topo_order(loss)]
         return [shapes.count((rows, n)) for _, n in cls.CFG.layer_dims]
 
-    def test_layer_holds_its_sum_and_activation(self):
+    def test_layer_holds_its_activation(self):
         assert len(set(self.CFG.hidden_dims) | {self.CFG.frame_len, self.RANK, 4}) == 6
         e0 = ex.new_expert(self.CFG, 41)
-        # x@W + b and its tanh, and no node for the product x@W
-        assert self.per_layer(e0) == [2] * e0.n_layers
+        # tanh(x@W + b) alone: no node for the product x@W or the sum
+        assert self.per_layer(e0) == [1] * e0.n_layers
         ase = ex.lora_inject(e0, ex.LoraConfig(self.RANK, 4.0, 0.0), seed=42)
         # x@W + b, (x@A)@B, its scaled copy, the sum of the two and tanh; a
         # product node would be a sixth wherever the layer's input needs a

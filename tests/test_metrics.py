@@ -33,6 +33,14 @@ class TestComputeEer:
         with pytest.raises(mx.ScoreSetError):
             mx.compute_eer(mx.ScoreSet([1.0], []))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        # a NaN among the bona-fide scores once read as a perfect EER of 0
+        with pytest.raises(mx.ScoreSetError, match="non-finite score in E0 T1"):
+            mx.compute_eer(mx.ScoreSet([bad, 1.0, 2.0], [0.5, 0.1], "T1", "E0"))
+        with pytest.raises(mx.ScoreSetError, match="non-finite score"):
+            mx.compute_eer(mx.ScoreSet([1.0, 2.0], [0.5, bad]))
+
     def test_matches_brute_force_on_200_random_sets(self):
         rng = np.random.default_rng(2025)
         for trial in range(200):

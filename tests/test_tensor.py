@@ -164,6 +164,116 @@ class TestLinear:
             tc.linear(x, tc.leaf(np.ones((3, 2)), True), b)
 
 
+class TestDense:
+    """`dense` against the tanh of a `linear`, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(counts=st.lists(st.integers(0, 3), min_size=1, max_size=4), k=dims(0, 5),
+           n=dims(0, 10), grads=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+           segmented=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(counts=[0], k=3, n=2, grads=(True, True, True), segmented=True, seed=1)
+    @example(counts=[2, 3], k=0, n=0, grads=(True, True, True), segmented=True, seed=2)
+    @example(counts=[1], k=4, n=9, grads=(True, False, True), segmented=False, seed=3)
+    @example(counts=[3, 0, 2], k=5, n=3, grads=(False, True, True), segmented=True, seed=4)
+    def test_bitwise_the_tanh_of_a_linear(self, counts, k, n, grads, segmented, seed):
+        rng = np.random.default_rng(seed)
+        rows = sum(counts)
+        a, w, bias = (TestLinear.values(rng, shape) for shape in ((rows, k), (k, n), (1, n)))
+        # a bias of +-40 saturates tanh to exactly +-1, where 1 - v*v is 0 and
+        # a negative incoming gradient gives the sum a gradient of -0.0
+        bias = np.where(rng.random((1, n)) < 0.3, np.copysign(40.0, bias), bias)
+        weights = TestLinear.values(rng, (rows, n))
+        other = TestLinear.values(rng, (rows, k))
+        segments = tc.row_segments(counts) if segmented else None
+
+        def run(layer):
+            """The layer's output, loss and leaves, and the bytes of every
+            gradient handed to the products a @ w."""
+            pushed = []
+            real = tc._push_product
+
+            def recording(x, m, g, segs):
+                pushed.append(g.tobytes())
+                real(x, m, g, segs)
+
+            leaves = [tc.leaf(v, requires_grad=g) for v, g in zip((a, w, bias), grads)]
+            out = layer(*leaves)
+            # a second use of `a` fixes the order in which its gradients arrive
+            loss = tc.add(sum_all(tc.mul(out, tc.constant(weights))),
+                          sum_all(tc.mul(leaves[0], tc.constant(other))))
+            tc._push_product = recording
+            try:
+                tc.backward(loss)
+            finally:
+                tc._push_product = real
+            return out, loss, leaves, pushed
+
+        out, loss, leaves, pushed = run(lambda x, m, b: tc.dense(x, m, b, segments))
+        ref_out, ref_loss, ref_leaves, ref_pushed = run(
+            lambda x, m, b: tc.tanh(tc.linear(x, m, b, segments)))
+        # the sum's gradient too, negative zeros cleared as in `linear`'s buffer
+        assert pushed == ref_pushed
+        assert out.value.tobytes() == ref_out.value.tobytes()
+        layout = [(v.flags.c_contiguous, v.flags.f_contiguous) for v in (out.value, ref_out.value)]
+        assert layout[0] == layout[1]
+        assert loss.value.tobytes() == ref_loss.value.tobytes()
+        for leaf, ref in zip(leaves, ref_leaves):
+            assert leaf.grad.tobytes() == ref.grad.tobytes()
+
+    def test_one_node_over_the_operands(self):
+        x, w = tc.leaf(np.ones((3, 4)), True), tc.leaf(np.ones((4, 2)), True)
+        b = tc.leaf(np.ones((1, 2)), True)
+        out = tc.dense(x, w, b)
+        assert out.parents == (x, w, b) and out.op == "dense"
+        with pytest.raises(tc.ShapeError):
+            tc.dense(x, w, tc.leaf(np.ones((1, 3)), True))
+        with pytest.raises(tc.ShapeError):
+            tc.dense(x, tc.leaf(np.ones((3, 2)), True), b)
+
+    def test_infinite_pre_activation_is_caught_on_a_gradient_path(self):
+        x = np.array([[1e308, 1.0]])
+        w, b = np.array([[10.0], [0.0]]), np.zeros((1, 1))
+        with np.errstate(over="ignore"):
+            assert tc.dense(tc.constant(x), tc.constant(w), tc.constant(b)).value[0, 0] == 1.0
+            with pytest.raises(tc.NonFiniteError):
+                tc.dense(tc.leaf(x, True), tc.constant(w), tc.constant(b))
+
+
+class TestGradientOwnership:
+    """`_acc` keeps a gradient its push built for it alone and copies any
+    other, with the bits of `zeros + g` either way."""
+
+    def test_fresh_buffer_is_kept_with_negative_zeros_cleared(self):
+        node = tc.leaf(np.ones((3, 2)), requires_grad=True)
+        g = np.array([[-0.0, 1.0], [2.0, -0.0], [0.0, -3.0]])
+        tc._acc(node, g)
+        assert node._grad is g
+        assert not np.signbit(g[g == 0.0]).any()
+        assert g.tobytes() == np.array([[0.0, 1.0], [2.0, 0.0], [0.0, -3.0]]).tobytes()
+        more = np.full((3, 2), 0.5)
+        tc._acc(node, more)
+        assert node._grad is g and np.array_equal(g, [[0.5, 1.5], [2.5, 0.5], [0.5, -2.5]])
+
+    def test_buffer_of_another_layout_is_copied(self):
+        node = tc.leaf(np.ones((3, 2)), requires_grad=True)
+        g = np.asfortranarray([[-0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+        tc._acc(node, g)
+        assert node._grad is not g and node._grad.flags.c_contiguous
+        assert node._grad.tobytes() == np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]).tobytes()
+        assert np.signbit(g[0, 0])  # the caller's buffer is left as it was
+
+    def test_buffer_passed_to_two_parents_is_copied_for_each(self):
+        a = tc.leaf(np.ones((2, 3)), requires_grad=True)
+        b = tc.leaf(np.ones((2, 3)), requires_grad=True)
+        out = tc.add(a, b)
+        g = np.array([[-0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+        out._push(g)
+        assert a._grad is not g and b._grad is not g and a._grad is not b._grad
+        assert np.signbit(g[0, 0]) and not np.signbit(a._grad[0, 0])
+        a._grad += 1.0
+        assert np.array_equal(b._grad, g) and np.array_equal(a._grad, g + 1.0)
+
+
 class TestLayerNorm:
     def test_constant_row_returns_bias(self):
         x = np.array([[5.0, 5.0, 5.0]])
@@ -460,6 +570,8 @@ class TestGradientFreeNodes:
             ("matmul right", lambda x: tc.matmul(left, x)),
             ("linear", lambda x: tc.linear(x, w, w_bias, segs)),
             ("linear weight", lambda x: tc.linear(left, x, bias)),
+            ("dense", lambda x: tc.dense(x, w, w_bias, segs)),
+            ("dense weight", lambda x: tc.dense(left, x, bias)),
             ("add", lambda x: tc.add(x, other)),
             ("add row", lambda x: tc.add(other, tc.mean_rows(x), segs)),
             ("mul", lambda x: tc.mul(x, other)),
