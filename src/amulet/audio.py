@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 LABELS = ("bonafide", "spoof", "unlabeled")
+PCM_FULL_SCALE = 32767.0  # the 16-bit sample value of 1.0
 
 
 class AudioError(ValueError):
@@ -53,11 +54,11 @@ class AudioClip:
 
 def float_to_pcm16(samples: np.ndarray) -> np.ndarray:
     clipped = np.clip(samples, -1.0, 1.0)
-    return np.round(clipped * 32767.0).astype("<i2")
+    return np.round(clipped * PCM_FULL_SCALE).astype("<i2")
 
 
 def pcm16_to_float(data: np.ndarray) -> np.ndarray:
-    return np.asarray(data, dtype=np.float64) / 32767.0
+    return np.asarray(data, dtype=np.float64) / PCM_FULL_SCALE
 
 
 def write_wav(path, clip: AudioClip) -> None:
@@ -93,7 +94,13 @@ def wav_length(path) -> int:
     return _open_wav(path, False)[1]
 
 
-def read_wav(path, clip_id: str = "", label: str = "unlabeled") -> AudioClip:
+def read_pcm(path) -> tuple:
+    """(sample rate, 16-bit samples) of a WAV file; the samples are a
+    read-only view of the bytes read."""
     rate, _, frames = _open_wav(path, True)
-    pcm = np.frombuffer(frames, dtype="<i2")
+    return rate, np.frombuffer(frames, dtype="<i2")
+
+
+def read_wav(path, clip_id: str = "", label: str = "unlabeled") -> AudioClip:
+    rate, pcm = read_pcm(path)
     return AudioClip(pcm16_to_float(pcm), sample_rate=rate, clip_id=clip_id, label=label)

@@ -505,7 +505,8 @@ class Pipeline:
         def fill(group):
             for span in group:
                 zs, frames = fusion.expert_features(
-                    bank, leaves, [corpus.resolve_clip(entries[i], self.root) for i in span])
+                    bank, leaves, [corpus.resolve_pcm(entries[i], self.root) for i in span],
+                    [entries[i].clip_id for i in span])
                 for i, rows in zip(span, frames):
                     if rows.stop - rows.start != counts[i]:
                         raise AudioError(
@@ -606,7 +607,8 @@ class Pipeline:
         fused_leaves = {name: ex.constant_leaves(system) for name, system in fused.items()}
         for chunk in ex.chunks(entries):
             zs, frames = fusion.expert_features(
-                bank, bank_leaves, [corpus.resolve_clip(e, self.root) for e in chunk])
+                bank, bank_leaves, [corpus.resolve_pcm(e, self.root) for e in chunk],
+                [e.clip_id for e in chunk])
             logits = {name: ex.expert_logits(leaves, z, frames).value
                       for name, leaves, z in zip(expert_names, bank_leaves, zs)}
             logits["ensemble"] = fusion.ensemble_logits(list(logits.values()))

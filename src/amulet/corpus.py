@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioClip, read_wav, wav_length, write_wav
+from .audio import AudioClip, read_pcm, read_wav, wav_length, write_wav
 from .attacks import apply_attack
 
 SPLITS = ("train", "dev", "eval")
@@ -135,9 +135,16 @@ def save_manifest(manifest: Manifest, path) -> None:
 
 def load_manifest(path) -> Manifest:
     entries = []
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
-            entries.append(ManifestEntry.from_dict(json.loads(line)))
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            data = json.loads(line)
+        except ValueError as exc:
+            raise ManifestError(f"{path}, line {number}: not JSON ({exc})") from None
+        if not isinstance(data, dict):
+            raise ManifestError(f"{path}, line {number}: an entry must be a JSON object")
+        entries.append(ManifestEntry.from_dict(data))
     return Manifest(entries)
 
 
@@ -215,6 +222,11 @@ def _audio_rel_path(condition: str, clip_id: str) -> str:
 def resolve_clip(entry: ManifestEntry, root) -> AudioClip:
     """Load an entry's audio from disk."""
     return read_wav(Path(root) / entry.path, clip_id=entry.clip_id, label=entry.label)
+
+
+def resolve_pcm(entry: ManifestEntry, root) -> np.ndarray:
+    """An entry's 16-bit samples from disk, as `audio.read_pcm` reads them."""
+    return read_pcm(Path(root) / entry.path)[1]
 
 
 def clip_length(entry: ManifestEntry, root) -> int:

@@ -19,6 +19,13 @@ One definition serves training and inference: the graph functions
 runs them on `constant_leaves`, `INFERENCE_CHUNK` clips at a time; stacked
 products are bitwise the per-clip ones, so chunking changes no score.
 
+Clips are held as their 16-bit PCM, never as frame matrices. Every encoder
+input goes through `frame_features`, which writes each clip's mean-removed
+frames straight into the one stacked matrix a graph consumes, when the graph
+is built: `train_expert` frames each minibatch and each dev chunk from the
+PCM it holds for the whole run (plus, while `enc.w0` is frozen, each clip's
+x@W0), and `fusion.expert_features` frames each chunk it scores.
+
 Checkpoints are canonical JSON with a content checksum; adapter checkpoints
 store only the adapter and head tensors plus the checksum of the base
 encoder they bind to.
@@ -31,10 +38,11 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import tensor as tc
-from .audio import AudioClip
-from .corpus import stable_seed, resolve_clip
+from .audio import PCM_FULL_SCALE
+from .corpus import resolve_pcm, stable_seed
 from .metrics import ScoreSet, compute_eer
 
 LABEL_INDEX = {"bonafide": 0, "spoof": 1}
@@ -235,12 +243,24 @@ def frame_count(n_samples: int, cfg: EncoderConfig, clip_id: str = "") -> int:
     return (n_samples - cfg.frame_len) // cfg.hop + 1
 
 
-def frame_features(clip: AudioClip, cfg: EncoderConfig) -> np.ndarray:
-    """(T x frame_len) raw-sample frames, each with its mean removed."""
-    t_count = frame_count(clip.samples.size, cfg, clip.clip_id)
-    idx = np.arange(t_count)[:, None] * cfg.hop + np.arange(cfg.frame_len)[None, :]
-    frames = clip.samples[idx]
-    return frames - frames.mean(axis=1, keepdims=True)
+def frame_features(signals, cfg: EncoderConfig, clip_ids=None) -> tuple:
+    """(x, row segments): the frames of the clips whose 16-bit PCM `signals`
+    holds, stacked by rows, clip c's in rows `segments[c]`. A frame is
+    `frame_len` samples every `hop`, each divided by `PCM_FULL_SCALE`, less
+    the frame's mean; each clip is divided from a strided view of its
+    samples straight into `x`. `clip_ids` name the clips in the error for
+    one too short to frame."""
+    ids = clip_ids if clip_ids is not None else [""] * len(signals)
+    frames = tc.row_segments(frame_count(pcm.size, cfg, clip_id)
+                             for pcm, clip_id in zip(signals, ids))
+    x = np.empty((frames[-1].stop, cfg.frame_len))
+    for pcm, rows in zip(signals, frames):
+        step = pcm.strides[0]
+        view = as_strided(pcm, (rows.stop - rows.start, cfg.frame_len), (cfg.hop * step, step),
+                          writeable=False)
+        np.divide(view, PCM_FULL_SCALE, out=x[rows])
+    x -= x.mean(axis=1, keepdims=True)
+    return x, frames
 
 
 def _dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -330,14 +350,12 @@ def expert_logits(leaves, z: tc.Node, frames) -> tc.Node:
     return tc.linear(pooled, leaves["head.w"], leaves["head.b"], rows)
 
 
-def loss_nodes(model, leaves, feats, labels, dropout_rngs=None, layer0=None) -> tc.Node:
-    """Mean cross-entropy of the clips with frame matrices `feats` as one
-    graph (other arguments as for `encoder_forward`). Shared tensors'
-    gradients are summed clip by clip, so the loss and gradients are bitwise
-    those of the mean of one graph per clip."""
-    frames = tc.row_segments(f.shape[0] for f in feats)
-    z = encoder_forward(model, leaves, tc.constant(np.concatenate(feats)), frames, dropout_rngs,
-                        layer0)
+def loss_nodes(model, leaves, x, frames, labels, dropout_rngs=None, layer0=None) -> tc.Node:
+    """Mean cross-entropy of the clips whose frames the matrix `x` stacks by
+    rows as one graph (other arguments as for `encoder_forward`). Shared
+    tensors' gradients are summed clip by clip, so the loss and gradients
+    are bitwise those of the mean of one graph per clip."""
+    z = encoder_forward(model, leaves, tc.constant(x), frames, dropout_rngs, layer0)
     logits = expert_logits(leaves, z, frames)
     return tc.cross_entropy(logits, [LABEL_INDEX[label] for label in labels])
 
@@ -462,8 +480,10 @@ def train_expert(
     EER, per-epoch history). Frozen tensors are checksum-verified; any drift
     is a hard failure.
 
-    With `enc.w0` frozen, each clip's x@W0 is taken once per call and reused
-    by every epoch's loss graphs and dev forwards."""
+    Each clip is held as its 16-bit PCM and framed into each minibatch and
+    dev chunk as the graph is built. With `enc.w0` frozen, each clip's x@W0
+    is taken once per call and reused by every epoch's loss graphs and dev
+    forwards."""
     work = model.copy()
     contract = frozen_checksum(work)
     w0 = work.tensors["enc.w0"] if "enc.w0" in work.frozen else None
@@ -471,24 +491,28 @@ def train_expert(
     def load_clips(entries):
         clips = []
         for entry in entries:
-            feats = frame_features(resolve_clip(entry, root), work.cfg)
-            clips.append((feats, None if w0 is None else tc.matmul_values(feats, w0)))
+            pcm = resolve_pcm(entry, root)
+            frame_count(pcm.size, work.cfg, entry.clip_id)  # too short fails before training
+            xw0 = None if w0 is None else tc.matmul_values(frame_features([pcm], work.cfg)[0], w0)
+            clips.append((pcm, xw0))
         return clips, [e.label for e in entries]
 
-    def stacked_layer0(clips):
-        return None if w0 is None else (tc.constant(np.concatenate([c[1] for c in clips])), None)
+    def stacked(clips):
+        """(x, frames, layer0) of `clips`, the inputs of one graph."""
+        x, frames = frame_features([clip[0] for clip in clips], work.cfg)
+        layer0 = None if w0 is None else (tc.constant(np.concatenate([c[1] for c in clips])), None)
+        return x, frames, layer0
 
     def batch_loss(leaves, clips, labels, rngs):
-        return loss_nodes(work, leaves, [clip[0] for clip in clips], labels, rngs,
-                          stacked_layer0(clips))
+        x, frames, layer0 = stacked(clips)
+        return loss_nodes(work, leaves, x, frames, labels, rngs, layer0)
 
     def epoch_eer():
         leaves = constant_leaves(work)
 
         def chunk_logits(clips):
-            frames = tc.row_segments(clip[0].shape[0] for clip in clips)
-            x = tc.constant(np.concatenate([clip[0] for clip in clips]))
-            z = encoder_forward(work, leaves, x, frames, layer0=stacked_layer0(clips))
+            x, frames, layer0 = stacked(clips)
+            z = encoder_forward(work, leaves, tc.constant(x), frames, layer0=layer0)
             return expert_logits(leaves, z, frames).value
 
         return dev_eer(chunk_logits, *dev_set)
@@ -555,9 +579,13 @@ def _read_payload(path, expected_format: str) -> dict:
     "checksum" (short ones); the text without that member, its comma and the
     final newline must hash to the stored checksum."""
     data = Path(path).read_text().encode()
-    payload = json.loads(data)
-    if payload.get("format") != expected_format:
-        raise CheckpointError(f"{path}: expected {expected_format}, got {payload.get('format')!r}")
+    try:
+        payload = json.loads(data)
+    except ValueError as exc:  # a truncated or overwritten file
+        raise CheckpointError(f"{path}: not a checkpoint ({exc})") from None
+    found = payload.get("format") if isinstance(payload, dict) else None
+    if found != expected_format:
+        raise CheckpointError(f"{path}: expected {expected_format}, got {found!r}")
     stored = payload.get("checksum")
     before = [f"{json.dumps(key)}:{_canonical_json(payload[key])}"
               for key in sorted(payload) if key < "checksum"]

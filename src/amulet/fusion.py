@@ -114,17 +114,18 @@ class FusionSystem:
             raise FrozenContractError("expert bank changed under the fusion system")
 
 
-def expert_features(experts, leaves, clips) -> tuple:
-    """(feature node of `clips` per expert of the bank [E0, E1..En], stacked
-    by rows; the clips' row segments), with `leaves` each expert's constants.
+def expert_features(experts, leaves, signals, clip_ids=None) -> tuple:
+    """(feature node per expert of the bank [E0, E1..En] of the clips whose
+    16-bit PCM `signals` holds, stacked by rows; the clips' row segments),
+    with `leaves` each expert's constants and `clip_ids` as for
+    `frame_features`.
 
     Experts sharing the first one's `enc.w0` share one product
     x @ [W0 | A0_1 | ... | A0_n], whose column blocks are bitwise the
     separate products, as their cached layer-0 products in `encoder_forward`;
     an expert with its own `enc.w0` takes its own."""
-    feats = [frame_features(clip, experts[0].cfg) for clip in clips]
-    frames = tc.row_segments(f.shape[0] for f in feats)
-    x = tc.constant(np.concatenate(feats))
+    x, frames = frame_features(signals, experts[0].cfg, clip_ids)
+    x = tc.constant(x)
     w0 = experts[0].tensors["enc.w0"]
     shares = [np.array_equal(e.tensors["enc.w0"], w0) for e in experts]
     blocks = [w0] + [

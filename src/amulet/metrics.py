@@ -89,7 +89,20 @@ def save_scores(scores: ScoreSet, path) -> None:
 
 
 def load_scores(path) -> ScoreSet:
-    return ScoreSet.from_dict(json.loads(Path(path).read_text()))
+    """The `ScoreSet` of a file that `save_scores` wrote; any other file is
+    a `ScoreSetError` naming it."""
+    try:
+        scores = ScoreSet.from_dict(json.loads(Path(path).read_text()))
+    except ValueError as exc:  # JSON that does not parse
+        raise ScoreSetError(f"{path}: not a score file ({exc})") from None
+    except KeyError as exc:
+        raise ScoreSetError(f"{path}: not a score file (no {exc.args[0]!r})") from None
+    except TypeError:  # JSON whose top level is not an object
+        raise ScoreSetError(f"{path}: not a score file (not a JSON object)") from None
+    for key, values in (("bona", scores.bona_scores), ("spoof", scores.spoof_scores)):
+        if not isinstance(values, list) or not all(isinstance(v, (int, float)) for v in values):
+            raise ScoreSetError(f"{path}: not a score file ({key!r} is not a list of numbers)")
+    return scores
 
 
 @dataclass

@@ -241,6 +241,16 @@ def sum_all(a):
     return tc.Node(value, (a,), "sum_all", push=push)
 
 
+def clip_frames(samples, cfg):
+    """One clip's (T x frame_len) frames of its float `samples`, gathered by
+    an index matrix, each with its mean removed: the per-clip reference for
+    the stacked `experts.frame_features`."""
+    t_count = (samples.size - cfg.frame_len) // cfg.hop + 1
+    idx = np.arange(t_count)[:, None] * cfg.hop + np.arange(cfg.frame_len)[None, :]
+    frames = samples[idx]
+    return frames - frames.mean(axis=1, keepdims=True)
+
+
 def expert_clip_loss(model, leaves, feats, label, dropout_rng=None, layer0=None):
     """One clip's expert loss graph; `layer0` is the clip's x@W0 or None."""
     h = tc.constant(feats)

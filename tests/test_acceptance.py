@@ -18,7 +18,7 @@ from amulet import experts as ex
 from amulet import fusion as fu
 from amulet import metrics as mx
 from amulet import tensor as tc
-from amulet.audio import AudioClip
+from amulet.audio import AudioClip, float_to_pcm16
 
 from oracles import (
     count_trainable,
@@ -39,9 +39,8 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
     assert ok, f"{criterion}: {detail}"
 
 
-def random_clip(rng: np.random.Generator) -> AudioClip:
-    samples = 0.4 * rng.standard_normal(32000)
-    return AudioClip(samples, 16000, f"acc-{rng.integers(1 << 30)}", "bonafide")
+def random_pcm(rng: np.random.Generator) -> np.ndarray:
+    return float_to_pcm16(0.4 * rng.standard_normal(32000))
 
 
 class TestCriterion1LoraIdentity:
@@ -58,7 +57,7 @@ class TestCriterion1LoraIdentity:
             return z.value, ex.expert_logits(leaves, z, frames).value
 
         for _ in range(100):
-            feats = ex.frame_features(random_clip(rng), ENC)
+            feats, _ = ex.frame_features([random_pcm(rng)], ENC)
             for got, want in zip(infer(injected, feats), infer(base, feats)):
                 assert np.array_equal(got, want)
         elapsed = time.perf_counter() - start
@@ -144,10 +143,11 @@ class TestCriterion3Gradients:
         def loss_value(tensors):
             probe = ex.ExpertModel(cfg, tensors, model.frozen, model.lora)
             leaves = ex.make_leaves(probe)
-            return float(ex.loss_nodes(probe, leaves, [feats], ["spoof"]).value[0, 0])
+            return float(ex.loss_nodes(probe, leaves, feats, frames, ["spoof"]).value[0, 0])
 
+        frames = tc.row_segments([feats.shape[0]])
         leaves = ex.make_leaves(model)
-        loss = ex.loss_nodes(model, leaves, [feats], ["spoof"])
+        loss = ex.loss_nodes(model, leaves, feats, frames, ["spoof"])
         tc.backward(loss)
         trainable = {n: model.tensors[n] for n in model.tensors if n not in model.frozen}
         fd = finite_difference_grads(lambda v: loss_value({**model.tensors, **v}), trainable)
@@ -295,7 +295,7 @@ class TestCriterion6FrozenContract:
 
         def features(entries):
             zs, frames = fu.expert_features(bank, leaves,
-                                            [cp.resolve_clip(e, tmp_path) for e in entries])
+                                            [cp.resolve_pcm(e, tmp_path) for e in entries])
             return [[z.value[seg] for z in zs] for seg in frames], [e.label for e in entries]
 
         train_set, dev_set = features(manifest.split("train")), features(manifest.split("dev"))

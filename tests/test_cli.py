@@ -422,6 +422,51 @@ class TestBankLoading:
         assert capsys.readouterr().err.splitlines() == ["error: non-finite score in E1 T0"]
         assert not list((out / "reports").glob("*.csv"))
 
+    @pytest.mark.parametrize("text, reason", [
+        ("{not json", "Expecting property name"),
+        ('{"system":"E0"}', "no 'bona'"),
+        ("[1, 2]", "not a JSON object"),
+        ('{"bona":5,"condition":"T0","spoof":[1.0],"system":"E1"}', "'bona' is not a list"),
+        ('{"bona":[1.0],"condition":"T0","spoof":["a"],"system":"E1"}', "'spoof' is not a list"),
+    ], ids=["unparsable", "missing-key", "array", "number", "string-score"])
+    def test_damaged_score_file_is_user_error(self, trained_bank, tmp_path, capsys, text,
+                                              reason):
+        out = copy_root(trained_bank, tmp_path)
+        args = ["--config", trained_bank[0], "--out", str(out)]
+        assert cli.main(args + ["evaluate"]) == 0
+        score = out / "scores" / "E1__T0.json"
+        score.write_text(text)
+        capsys.readouterr()
+        assert cli.main(args + ["report"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {score}: not a score file ("), err
+        assert reason in err[0]
+
+    def test_manifest_line_that_is_not_json_is_user_error(self, trained_bank, tmp_path, capsys):
+        out = copy_root(trained_bank, tmp_path)
+        manifest = out / "manifests" / "T3.jsonl"
+        n_lines = len(manifest.read_text().splitlines())
+        with manifest.open("a") as f:
+            f.write("garbage\n")
+        capsys.readouterr()
+        assert cli.main(["--config", trained_bank[0], "--out", str(out), "evaluate"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {manifest}, line {n_lines + 1}: not JSON "
+            f"(Expecting value: line 1 column 1 (char 0))",
+        ]
+        assert not (out / "scores").exists()
+
+    def test_truncated_checkpoint_is_invariant_violation(self, trained_bank, tmp_path, capsys):
+        out = copy_root(trained_bank, tmp_path)
+        ckpt = out / "checkpoints" / "fusion_top3.json"
+        ckpt.write_bytes(ckpt.read_bytes()[:1000])
+        capsys.readouterr()
+        assert cli.main(["--config", trained_bank[0], "--out", str(out), "evaluate"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(f"internal invariant violated: {ckpt}: not a checkpoint (")
+        assert not (out / "scores").exists()
+
     def test_non_finite_logit_is_invariant_violation(self, trained_bank, tmp_path, capsys,
                                                      monkeypatch):
         out = copy_root(trained_bank, tmp_path)
@@ -690,7 +735,8 @@ class TestStageInputs:
                 return fn(path, *args, **kwargs)
             return read
 
-        for module, name in ((audio, "read_wav"), (corpus, "read_wav"), (audio, "wav_length"),
+        for module, name in ((audio, "read_wav"), (corpus, "read_wav"), (audio, "read_pcm"),
+                             (corpus, "read_pcm"), (audio, "wav_length"),
                              (corpus, "wav_length"), (corpus, "load_manifest"),
                              (ex, "load_expert_checkpoint"), (ex, "load_adapter_checkpoint"),
                              (fu, "load_fusion_checkpoint"), (metrics, "load_scores")):
@@ -719,14 +765,19 @@ class TestStageInputs:
                 files = json.loads((out / "state" / f"{stage}.json").read_text())["files"]
                 if rel in files:
                     continue
-                assert stage == "evaluate" and name == "read_wav", (stage, name, rel)
+                assert stage == "evaluate" and name == "read_pcm", (stage, name, rel)
                 assert path.parent.parent == out / "audio" and path.name.startswith("eval_")
                 unwatched.add(rel)
         # a bona-fide and a spoof clip of each scored condition
         assert len(unwatched) == 2 * len(config.single_conditions + config.mixed)
         fusion_reads = {path.parent.name for stages, name, path in reads
-                        if stages == ("train-fusion-top1",) and name == "read_wav"}
+                        if stages == ("train-fusion-top1",) and name == "read_pcm"}
         assert fusion_reads == {"T0", "T3", "T5"}
+        # every clip a trainer or scorer frames is read as PCM; `attack` alone
+        # reads float clips, from the clean condition
+        assert {path.parent.name for _, name, path in reads if name == "read_wav"} == {"T0"}
+        assert all(stage.startswith("attack-")
+                   for stages, name, _ in reads if name == "read_wav" for stage in stages)
 
     def test_swapped_training_audio_reruns_fusion(self, tiny_root, tmp_path, capsys):
         out = copy_root(tiny_root, tmp_path)
@@ -990,7 +1041,7 @@ class TestFusionFeaturesOnWorkers:
         # each clip's rows are the rows it gets when stacked alone
         leaves = [ex.constant_leaves(model) for model in bank]
         for entry, z_all in zip(fusion_subset(config, trained_bank[1]), subset):
-            zs, _ = fu.expert_features(bank, leaves, [corpus.resolve_clip(entry, trained_bank[1])])
+            zs, _ = fu.expert_features(bank, leaves, [corpus.resolve_pcm(entry, trained_bank[1])])
             assert [z.value.tobytes() for z in zs] == [z.tobytes() for z in z_all]
 
     def test_stale_heads_at_jobs_2_write_what_jobs_1_writes(self, trained_bank, tmp_path):

@@ -1,11 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from amulet import attacks as atk
 from amulet import corpus as cp
-from amulet.audio import UnsupportedEncodingError, read_wav
+from amulet.audio import UnsupportedEncodingError, float_to_pcm16, read_pcm, read_wav, write_wav
 
 SMALL = cp.SynthConfig(n_train=100, n_dev=20, n_eval=50)
 TINY = cp.SynthConfig(n_train=6, n_dev=3, n_eval=4)
@@ -218,6 +219,14 @@ class TestFusionSubset:
 
 
 class TestReadWav:
+    def test_read_wav_scales_the_pcm_read(self, tmp_path):
+        clip = cp.synth_clip("spoof", 3, TINY)
+        write_wav(tmp_path / "c.wav", clip)
+        rate, pcm = read_pcm(tmp_path / "c.wav")
+        assert rate == TINY.sample_rate and pcm.dtype == np.dtype("<i2")
+        assert np.array_equal(pcm, float_to_pcm16(clip.samples))
+        assert read_wav(tmp_path / "c.wav").samples.tobytes() == (pcm / 32767.0).tobytes()
+
     def test_eight_bit_wav_rejected(self, tmp_path):
         import wave
 
@@ -244,6 +253,15 @@ class TestManifestInvariants:
         (tmp_path / "m.jsonl").write_text(json.dumps(entry) + "\n")
         with pytest.raises(cp.ManifestError, match=f"has no '{key}'"):
             cp.load_manifest(tmp_path / "m.jsonl")
+
+    @pytest.mark.parametrize("line, reason", [
+        ("garbage", "not JSON"), ("[1, 2]", "an entry must be a JSON object")])
+    def test_line_that_is_not_an_object_rejected(self, tmp_path, line, reason):
+        entry = cp.ManifestEntry("x", "bonafide", "train", "T0", 1, path="p.wav").to_dict()
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps(entry) + "\n\n" + line + "\n")
+        with pytest.raises(cp.ManifestError, match=f"^{re.escape(str(path))}, line 3: {reason}"):
+            cp.load_manifest(path)
 
     def test_unlabeled_rejected(self):
         with pytest.raises(cp.ManifestError):

@@ -3,14 +3,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from amulet import corpus as cp
 from amulet import experts as ex
 from amulet import fusion as fu
 from amulet import tensor as tc
-from amulet.audio import AudioClip
+from amulet.audio import float_to_pcm16, pcm16_to_float
 
 from oracles import (
+    clip_frames,
     count_trainable,
     expert_clip_loss,
     finite_difference_grads,
@@ -25,17 +27,27 @@ TINY = cp.SynthConfig(n_train=24, n_dev=8, n_eval=6)
 ENC = ex.EncoderConfig()
 
 
-def random_clip(seed, seconds=2.0, sr=16000):
+def random_pcm(seed, seconds=2.0, sr=16000):
     rng = np.random.default_rng(seed)
-    return AudioClip(0.4 * rng.standard_normal(int(seconds * sr)), sr, f"rc{seed}", "bonafide")
+    return float_to_pcm16(0.4 * rng.standard_normal(int(seconds * sr)))
+
+
+def frames_of(pcm, cfg=ENC):
+    """One clip's frame matrix."""
+    return ex.frame_features([pcm], cfg)[0]
+
+
+def stack(feats):
+    """(stacked matrix, row segments) of per-clip frame matrices `feats`."""
+    return np.concatenate(feats), tc.row_segments(f.shape[0] for f in feats)
 
 
 def infer(model, feats):
     """(encoder output, logits) of the clips with frame matrices `feats`, as
     one inference graph on the model's constant leaves."""
     leaves = ex.constant_leaves(model)
-    frames = tc.row_segments(f.shape[0] for f in feats)
-    z = ex.encoder_forward(model, leaves, tc.constant(np.concatenate(feats)), frames)
+    x, frames = stack(feats)
+    z = ex.encoder_forward(model, leaves, tc.constant(x), frames)
     return z.value, ex.expert_logits(leaves, z, frames).value
 
 
@@ -46,27 +58,58 @@ def tiny_corpus(tmp_path_factory):
     return manifest, root
 
 
+# clips of 16 to 106 samples, each sample drawn from the extremes, zero
+# and a few others half the time
+pcm_clips = st.lists(
+    st.integers(0, 90).flatmap(lambda extra: st.lists(
+        st.sampled_from([-32768, -32767, -1, 0, 1, 12345, 32767]) | st.integers(-32768, 32767),
+        min_size=16 + extra, max_size=16 + extra)),
+    min_size=1, max_size=4)
+
+
 class TestFrameFeatures:
     def test_frame_count_default(self):
-        clip = random_clip(0)
-        feats = ex.frame_features(clip, ENC)
+        feats = frames_of(random_pcm(0))
         assert feats.shape == (200, 160)
 
     def test_frame_count_formula(self):
-        clip = AudioClip(np.ones(1000), 16000, "x", "bonafide")
         cfg = ex.EncoderConfig(frame_len=160, hop=100, hidden_dims=(8, 8))
-        feats = ex.frame_features(clip, cfg)
+        feats = frames_of(np.ones(1000, "<i2"), cfg)
         assert feats.shape[0] == (1000 - 160) // 100 + 1
 
     def test_constant_clip_zero_features(self):
-        clip = AudioClip(np.full(32000, 0.25), 16000, "c", "bonafide")
-        feats = ex.frame_features(clip, ENC)
+        feats = frames_of(np.full(32000, 8192, "<i2"))
         assert np.allclose(feats, 0.0)
 
     def test_short_clip_rejected(self):
-        clip = AudioClip(np.ones(100), 16000, "s", "bonafide")
-        with pytest.raises(ex.ExpertError):
-            ex.frame_features(clip, ENC)
+        with pytest.raises(ex.ExpertError, match="clip 's' shorter than one frame"):
+            ex.frame_features([random_pcm(1, 0.05), np.ones(100, "<i2")], ENC, ["ok", "s"])
+
+    def test_stacks_clips_by_rows(self):
+        pcms = [random_pcm(2, 0.3), random_pcm(3, 0.02), random_pcm(4, 0.5)]
+        x, frames = ex.frame_features(pcms, ENC)
+        assert x.shape == (82, 160) and x.flags.c_contiguous
+        assert [(seg.start, seg.stop) for seg in frames] == [(0, 30), (30, 32), (32, 82)]
+        want = np.concatenate([clip_frames(pcm16_to_float(pcm), ENC) for pcm in pcms])
+        assert x.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(clips=pcm_clips, frame_len=st.integers(2, 16), hop=st.integers(1, 24))
+    @example(clips=[[-32768, 0, 32767] * 6, [32767] * 16], frame_len=4, hop=4)
+    @example(clips=[[-32768, 0, 32767] * 6, [-32768] * 17], frame_len=5, hop=3)
+    @example(clips=[[-32768, 0, 32767] * 6, [0] * 40], frame_len=6, hop=9)
+    def test_bitwise_the_per_clip_frames(self, clips, frame_len, hop):
+        """The stacked frames are, byte for byte, the per-clip frames of the
+        float samples `read_wav` makes, gathered by index and joined, for
+        hops below, at and above the frame length."""
+        cfg = ex.EncoderConfig(frame_len=frame_len, hop=hop, hidden_dims=(4,))
+        pcms = [np.array(clip, "<i2") for clip in clips]
+        x, frames = ex.frame_features(pcms, cfg)
+        want = np.concatenate([clip_frames(pcm16_to_float(pcm), cfg) for pcm in pcms])
+        assert x.dtype == want.dtype and x.shape == want.shape
+        assert x.tobytes() == want.tobytes()
+        assert [seg.stop - seg.start for seg in frames] == [
+            (pcm.size - frame_len) // hop + 1 for pcm in pcms]
 
 
 def encode(model, feats):
@@ -135,7 +178,7 @@ class TestLoraInject:
         base = ex.new_expert(ENC, seed=3)
         injected = ex.lora_inject(base, ex.LoraConfig(4, 16.0, 0.1), seed=4)
         for seed in range(5):
-            feats = ex.frame_features(random_clip(seed), ENC)
+            feats = frames_of(random_pcm(seed))
             for got, want in zip(infer(injected, [feats]), infer(base, [feats])):
                 assert np.array_equal(got, want)
 
@@ -185,13 +228,12 @@ class TestForwardGradients:
         values of the graph whose leaves train."""
         injected = ex.lora_inject(ex.new_expert(ENC, 5), ex.LoraConfig(4, 16.0, 0.1), seed=6)
         model = with_live_head(injected, 0)
-        feats = [ex.frame_features(random_clip(9 + i, s), ENC) for i, s in enumerate((1.0, 0.3))]
-        frames = tc.row_segments(f.shape[0] for f in feats)
+        x, frames = ex.frame_features([random_pcm(9 + i, s) for i, s in enumerate((1.0, 0.3))], ENC)
         plain = ex.constant_leaves(model)
-        plain_z = ex.encoder_forward(model, plain, tc.constant(np.concatenate(feats)), frames)
+        plain_z = ex.encoder_forward(model, plain, tc.constant(x), frames)
         plain_logits = ex.expert_logits(plain, plain_z, frames)
         leaves = ex.make_leaves(model)
-        graph_z = ex.encoder_forward(model, leaves, tc.constant(np.concatenate(feats)), frames)
+        graph_z = ex.encoder_forward(model, leaves, tc.constant(x), frames)
         graph_logits = ex.expert_logits(leaves, graph_z, frames)
         assert plain_logits.value.shape == (2, 2)
         for node in (plain_z, plain_logits):
@@ -211,10 +253,10 @@ class TestForwardGradients:
         def loss_value(tensors):
             probe = ex.ExpertModel(cfg, tensors, model.frozen, model.lora)
             leaves = ex.make_leaves(probe)
-            return float(ex.loss_nodes(probe, leaves, [feats], ["spoof"]).value[0, 0])
+            return float(ex.loss_nodes(probe, leaves, *stack([feats]), ["spoof"]).value[0, 0])
 
         leaves = ex.make_leaves(model)
-        loss = ex.loss_nodes(model, leaves, [feats], ["spoof"])
+        loss = ex.loss_nodes(model, leaves, *stack([feats]), ["spoof"])
         tc.backward(loss)
         trainable = {n: model.tensors[n] for n in model.tensors if n not in model.frozen}
         fd = finite_difference_grads(lambda vals: loss_value({**model.tensors, **vals}), trainable)
@@ -226,7 +268,7 @@ class TestForwardGradients:
         rng = np.random.default_rng(5)
         for name in ("lora.b0", "lora.b1", "lora.b2", "head.w"):
             model.tensors[name] = rng.normal(0, 0.1, model.tensors[name].shape)
-        feats = ex.frame_features(random_clip(6, seconds=1.0), ENC)
+        feats = frames_of(random_pcm(6, seconds=1.0))
         # x@W0 stands in while enc.w0 is frozen; x@A0 never does, since
         # lora.a0 trains (and the dropout mask, when drawn, changes its input)
         layer0 = (tc.constant(tc.matmul_values(feats, model.tensors["enc.w0"])),
@@ -237,7 +279,7 @@ class TestForwardGradients:
             if leaked:
                 leaves["enc.w0"] = tc.Node(model.tensors["enc.w0"], requires_grad=True)
             rngs = [np.random.Generator(np.random.Philox(7))] if dropout else None
-            loss = ex.loss_nodes(model, leaves, [feats], ["spoof"], rngs,
+            loss = ex.loss_nodes(model, leaves, *stack([feats]), ["spoof"], rngs,
                                  layer0 if cached else None)
             tc.backward(loss)
             return loss, leaves
@@ -286,7 +328,7 @@ class TestBatchedLoss:
 
         layer0 = [tc.matmul_values(f, model.tensors["enc.w0"]) for f in feats] if cached else None
         leaves = ex.make_leaves(model)
-        loss = ex.loss_nodes(model, leaves, feats, labels, rngs(),
+        loss = ex.loss_nodes(model, leaves, *stack(feats), labels, rngs(),
                              None if layer0 is None else (tc.constant(np.concatenate(layer0)), None))
         tc.backward(loss)
 
@@ -306,7 +348,7 @@ class TestBatchedLoss:
 
     @staticmethod
     def clips(seconds):
-        return [ex.frame_features(random_clip(200 + i, s), ENC) for i, s in enumerate(seconds)]
+        return [frames_of(random_pcm(200 + i, s)) for i, s in enumerate(seconds)]
 
     def test_shared_expert(self):
         model = with_live_head(ex.new_expert(ENC, 20), 21)
@@ -349,7 +391,7 @@ class TestGraphSize:
         rng = np.random.default_rng(40)
         feats = [rng.standard_normal((t, cls.CFG.frame_len)) for t in (5, 3, 7, 4)]
         rows = sum(f.shape[0] for f in feats)
-        loss = ex.loss_nodes(model, ex.make_leaves(model), feats, TestBatchedLoss.LABELS)
+        loss = ex.loss_nodes(model, ex.make_leaves(model), *stack(feats), TestBatchedLoss.LABELS)
         shapes = [node.value.shape for node in tc.topo_order(loss)]
         return [shapes.count((rows, n)) for _, n in cls.CFG.layer_dims]
 
@@ -373,11 +415,10 @@ class TestFitAgainstPerClipTrainer:
     CFG = ex.EncoderConfig(frame_len=32, hop=32, hidden_dims=(8, 8))
 
     def _run(self, model, trainer, loss_fn, tmp_path, name):
-        feats = [ex.frame_features(random_clip(400 + i, 0.02 + 0.004 * i), self.CFG)
-                 for i in range(10)]
+        feats = [frames_of(random_pcm(400 + i, 0.02 + 0.004 * i), self.CFG) for i in range(10)]
         clips = [(f, tc.matmul_values(f, model.tensors["enc.w0"])) for f in feats]
         labels = ["bonafide", "spoof"] * 5
-        dev = [ex.frame_features(random_clip(500 + i, 0.03), self.CFG) for i in range(4)]
+        dev = [frames_of(random_pcm(500 + i, 0.03), self.CFG) for i in range(4)]
         dev_labels = ["bonafide", "spoof", "bonafide", "spoof"]
         work = model.copy()
         snapshots = []
@@ -404,7 +445,7 @@ class TestFitAgainstPerClipTrainer:
 
         def batched(work):
             def batch_loss(leaves, clips, labels, rngs):
-                return ex.loss_nodes(work, leaves, [c[0] for c in clips], labels, rngs,
+                return ex.loss_nodes(work, leaves, *stack([c[0] for c in clips]), labels, rngs,
                                      (tc.constant(np.concatenate([c[1] for c in clips])), None))
             return batch_loss
 
@@ -465,13 +506,13 @@ class TestBankForward:
         for model, z in zip(bank, zs):
             assert z.parents == ()
             for clip, seg in zip(clips, frames):
-                alone, _ = infer(model, [ex.frame_features(clip, ENC)])
+                alone, _ = infer(model, [frames_of(clip)])
                 assert np.array_equal(z.value[seg], alone)
 
     def test_bitwise_equal_to_per_expert_forward(self, monkeypatch):
         # rank 1 takes the looped single-column path in a separate x@A product
         bank = adapted_bank(ex.new_expert(ENC, 40), ranks=(4, 1, 2, 4, 4), seed=41)
-        clips = [random_clip(42 + i, s) for i, s in enumerate(self.SECONDS)]
+        clips = [random_pcm(42 + i, s) for i, s in enumerate(self.SECONDS)]
         (zs, frames), calls = self.features_counting_layer0(bank, clips, monkeypatch)
         assert calls == [(160, 64 + 4 + 1 + 2 + 4 + 4)]  # one layer-0 product for the chunk
         assert [seg.stop - seg.start for seg in frames] == [30, 75, 2, 50]
@@ -484,7 +525,7 @@ class TestBankForward:
         other_base.tensors["enc.w0"] = other_base.tensors["enc.w0"] + rng.normal(0.0, 0.01, (160, 64))
         bank += adapted_bank(other_base, ranks=(1,), seed=47)  # a base and an adapter on it
         bank[2].tensors["enc.b0"] = rng.normal(0.0, 0.1, (1, 64))  # own bias, shared weight
-        clips = [random_clip(48 + i, s) for i, s in enumerate(self.SECONDS)]
+        clips = [random_pcm(48 + i, s) for i, s in enumerate(self.SECONDS)]
         (zs, frames), calls = self.features_counting_layer0(bank, clips, monkeypatch)
         assert calls == [(160, 64 + 4 + 1 + 2), (160, 64), (160, 64), (160, 1)]
         self.assert_per_expert_per_clip(bank, clips, zs, frames)
@@ -548,7 +589,7 @@ class TestTraining:
         )
         assert history[1]["loss"] < history[0]["loss"]
 
-        feats = [ex.frame_features(cp.resolve_clip(e, root), ENC) for e in manifest.split("dev")]
+        feats = [frames_of(cp.resolve_pcm(e, root)) for e in manifest.split("dev")]
         labels = [e.label for e in manifest.split("dev")]
         before = ex.dev_eer(lambda chunk: infer(model, chunk)[1], feats, labels)
         path = tmp_path / "e0.json"
@@ -634,7 +675,7 @@ class TestCheckpoints:
 
         restored, checksum = ex.load_adapter_checkpoint(adapter_path, base)
         assert checksum == saved_checksum
-        feats = ex.frame_features(random_clip(3), ENC)
+        feats = frames_of(random_pcm(3))
         assert np.array_equal(infer(restored, [feats])[1], infer(injected, [feats])[1])
 
     def test_adapter_binding_mismatch_fails(self, tmp_path):

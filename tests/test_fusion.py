@@ -9,7 +9,7 @@ from amulet import corpus as cp
 from amulet import experts as ex
 from amulet import fusion as fu
 from amulet import tensor as tc
-from amulet.audio import write_wav
+from amulet.audio import float_to_pcm16, write_wav
 
 from oracles import (
     finite_difference_grads,
@@ -57,13 +57,14 @@ def feature_set(system, entries, root):
     z_alls = []
     for entry in entries:
         zs, _ = fu.expert_features(system.experts, bank_leaves(system),
-                                   [cp.resolve_clip(entry, root)])
+                                   [cp.resolve_pcm(entry, root)])
         z_alls.append([z.value for z in zs])
     return z_alls, [e.label for e in entries]
 
 
 def score(system, clip) -> float:
-    zs, frames = fu.expert_features(system.experts, bank_leaves(system), [clip])
+    zs, frames = fu.expert_features(system.experts, bank_leaves(system),
+                                    [float_to_pcm16(clip.samples)])
     logits = fu.fused_logits(system, ex.constant_leaves(system), zs, frames).value
     return float(logits[0, 0] - logits[0, 1])
 
